@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -17,21 +19,226 @@ Cache::Cache(const CacheConfig &config)
     config_.validate();
     assoc_ = config_.effectiveAssociativity();
     sets_ = config_.setCount();
+    lineShift_ = floorLog2(config_.lineBytes);
+    assocShift_ = floorLog2(assoc_);
+    scan_ = assoc_ <= kScanMaxWays;
 
-    const std::uint64_t n = config_.lineCount();
-    lines_.assign(n, Line{});
-    index_.reserve(n * 2);
+    lines_.assign(config_.lineCount(), Line{});
+    if (!scan_)
+        index_.reserve(lines_.size() * 2);
 
-    policy_ = makeReplacementPolicy(config_.replacement);
-    policy_->bind(sets_, static_cast<std::uint32_t>(assoc_), this, &rng_);
+    const std::string &name = config_.replacement.name;
+    classic_ = name == "lru"    ? Classic::Lru
+               : name == "fifo" ? Classic::Fifo
+               : name == "random" ? Classic::Random
+                                  : Classic::Zoo;
+    if (classic_ == Classic::Zoo) {
+        policy_ = makeReplacementPolicy(config_.replacement);
+        policy_->bind(sets_, static_cast<std::uint32_t>(assoc_), this,
+                      &rng_);
+    } else {
+        resetReplacement();
+    }
     admission_ = makeAdmissionPolicy(config_.admission);
 }
 
-std::uint64_t
-Cache::setOf(Addr line_addr) const
+// ------------------------------------------------------------------
+// Classic-trio recency: intrusive lists for wide sets.
+// ------------------------------------------------------------------
+
+void
+Cache::RecencyList::init(std::uint64_t sets, std::uint32_t assoc)
 {
-    return (line_addr / config_.lineBytes) % sets_;
+    sets_ = sets;
+    assoc_ = assoc;
+    const std::uint64_t n = sets * assoc;
+    next_.assign(n, kInvalid);
+    prev_.assign(n, kInvalid);
+    head_.assign(sets, kInvalid);
+    tail_.assign(sets, kInvalid);
+    for (std::uint64_t set = 0; set < sets; ++set)
+        for (std::uint64_t way = 0; way < assoc; ++way)
+            pushMru(set, static_cast<std::uint32_t>(set * assoc + way));
 }
+
+void
+Cache::RecencyList::touchMru(std::uint64_t set, std::uint32_t idx)
+{
+    unlink(set, idx);
+    pushMru(set, idx);
+}
+
+void
+Cache::RecencyList::exportOrder(std::vector<std::uint32_t> &out) const
+{
+    for (std::uint64_t set = 0; set < sets_; ++set)
+        for (std::uint32_t idx = head_[set]; idx != kInvalid; idx = next_[idx])
+            out.push_back(idx);
+}
+
+void
+Cache::RecencyList::importOrder(std::span<const std::uint32_t> order)
+{
+    std::fill(head_.begin(), head_.end(), kInvalid);
+    std::fill(tail_.begin(), tail_.end(), kInvalid);
+    std::fill(next_.begin(), next_.end(), kInvalid);
+    std::fill(prev_.begin(), prev_.end(), kInvalid);
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        std::uint32_t prev = kInvalid;
+        for (std::uint64_t pos = 0; pos < assoc_; ++pos) {
+            const std::uint32_t idx = order[set * assoc_ + pos];
+            CACHELAB_ASSERT(idx / assoc_ == set && next_[idx] == kInvalid &&
+                                prev_[idx] == kInvalid && head_[set] != idx,
+                            "recency import: list of set ", set,
+                            " is not a permutation of its ways");
+            if (prev == kInvalid)
+                head_[set] = idx;
+            else
+                next_[prev] = idx;
+            prev_[idx] = prev;
+            prev = idx;
+        }
+        tail_[set] = prev;
+    }
+}
+
+void
+Cache::RecencyList::unlink(std::uint64_t set, std::uint32_t idx)
+{
+    const std::uint32_t p = prev_[idx];
+    const std::uint32_t n = next_[idx];
+    if (p != kInvalid)
+        next_[p] = n;
+    else
+        head_[set] = n;
+    if (n != kInvalid)
+        prev_[n] = p;
+    else
+        tail_[set] = p;
+    prev_[idx] = kInvalid;
+    next_[idx] = kInvalid;
+}
+
+void
+Cache::RecencyList::pushMru(std::uint64_t set, std::uint32_t idx)
+{
+    prev_[idx] = kInvalid;
+    next_[idx] = head_[set];
+    if (head_[set] != kInvalid)
+        prev_[head_[set]] = idx;
+    head_[set] = idx;
+    if (tail_[set] == kInvalid)
+        tail_[set] = idx;
+}
+
+// ------------------------------------------------------------------
+// Classic-trio recency: per-way ages for scanned sets.  A way's age
+// is the stamp of its last touch, so sorting a set by descending age
+// gives exactly the MRU-first list a RecencyList would hold.
+// ------------------------------------------------------------------
+
+std::uint32_t
+Cache::lruWay(std::uint64_t set) const
+{
+    if (!scan_)
+        return recency_.tail(set);
+    const auto base = static_cast<std::uint32_t>(set << assocShift_);
+    std::uint32_t lru = base;
+    for (std::uint32_t w = base + 1; w < base + assoc_; ++w)
+        if (lines_[w].age < lines_[lru].age)
+            lru = w;
+    return lru;
+}
+
+std::uint32_t
+Cache::victimWay(std::uint64_t set, Addr incoming)
+{
+    switch (classic_) {
+    case Classic::Lru:
+    case Classic::Fifo:
+        // Invalid ways are never promoted, so they accumulate at the
+        // LRU end and are consumed before any valid line is evicted.
+        return lruWay(set);
+    case Classic::Random: {
+        const std::uint32_t lru = lruWay(set);
+        if (!lines_[lru].valid)
+            return lru;
+        return static_cast<std::uint32_t>((set << assocShift_) +
+                                          rng_.uniformInt(assoc_));
+    }
+    case Classic::Zoo:
+        break;
+    }
+    return policy_->victimWay(set, incoming);
+}
+
+void
+Cache::resetReplacement()
+{
+    if (classic_ == Classic::Zoo) {
+        policy_->reset();
+    } else if (scan_) {
+        // Way order, so way 0 sits at the LRU end of every set.
+        for (std::size_t idx = 0; idx < lines_.size(); ++idx)
+            lines_[idx].age = static_cast<std::uint32_t>(idx % assoc_);
+        stamp_ = static_cast<std::uint32_t>(assoc_ - 1);
+    } else {
+        recency_.init(sets_, static_cast<std::uint32_t>(assoc_));
+    }
+}
+
+void
+Cache::exportClassicRecency(std::vector<std::uint32_t> &out) const
+{
+    if (!scan_) {
+        recency_.exportOrder(out);
+        return;
+    }
+    for (std::size_t base = 0; base < lines_.size(); base += assoc_) {
+        const std::size_t first = out.size();
+        for (std::size_t w = base; w < base + assoc_; ++w)
+            out.push_back(static_cast<std::uint32_t>(w));
+        std::sort(out.begin() + first, out.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return lines_[a].age > lines_[b].age;
+                  });
+    }
+}
+
+void
+Cache::importClassicRecency(std::span<const std::uint32_t> recency)
+{
+    if (!scan_) {
+        recency_.importOrder(recency);
+        return;
+    }
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        std::uint32_t seen = 0; // way bitmask; assoc_ <= kScanMaxWays
+        for (std::uint64_t pos = 0; pos < assoc_; ++pos) {
+            const std::uint32_t idx = recency[(set << assocShift_) + pos];
+            const std::uint32_t bit = 1u << (idx & (assoc_ - 1));
+            CACHELAB_ASSERT((idx >> assocShift_) == set && !(seen & bit),
+                            "recency import: list of set ", set,
+                            " is not a permutation of its ways");
+            seen |= bit;
+            lines_[idx].age = static_cast<std::uint32_t>(assoc_ - 1 - pos);
+        }
+    }
+    stamp_ = static_cast<std::uint32_t>(assoc_ - 1);
+}
+
+void
+Cache::renumberAges()
+{
+    std::vector<std::uint32_t> order;
+    order.reserve(lines_.size());
+    exportClassicRecency(order);
+    importClassicRecency(order);
+}
+
+// ------------------------------------------------------------------
+// Access path.
+// ------------------------------------------------------------------
 
 void
 Cache::evict(std::uint32_t idx, bool is_purge)
@@ -68,32 +275,38 @@ Cache::evict(std::uint32_t idx, bool is_purge)
             probe_->onEvent(event);
         }
     }
-    policy_->onEvict(idx / assoc_, idx, line.lineAddr, is_purge);
-    index_.erase(line.lineAddr);
+    if (classic_ == Classic::Zoo)
+        policy_->onEvict(idx >> assocShift_, idx, line.lineAddr, is_purge);
+    if (!scan_)
+        index_.erase(line.lineAddr);
     line.valid = false;
     line.dirty = false;
     --validLines_;
 }
 
-bool
+std::uint32_t
 Cache::install(Addr line_addr, bool prefetched)
 {
     const std::uint64_t set = setOf(line_addr);
-    const std::uint32_t victim = policy_->victimWay(set, line_addr);
+    const std::uint32_t victim = victimWay(set, line_addr);
     if (admission_ != nullptr &&
         !admission_->admit(line_addr, lines_[victim].lineAddr,
                            lines_[victim].valid))
-        return false;
+        return kInvalid;
     evict(victim, /*is_purge=*/false);
 
     Line &line = lines_[victim];
     line.lineAddr = line_addr;
     line.valid = true;
     line.dirty = false;
-    index_.emplace(line_addr, victim);
+    if (!scan_)
+        index_.emplace(line_addr, victim);
     ++validLines_;
 
-    policy_->onFill(set, victim, line_addr);
+    if (classic_ == Classic::Zoo)
+        policy_->onFill(set, victim, line_addr);
+    else
+        touchMru(victim);
 
     stats_.bytesFromMemory += config_.lineBytes;
     if (prefetched)
@@ -113,7 +326,7 @@ Cache::install(Addr line_addr, bool prefetched)
         event.refIndex = clock_;
         probe_->onEvent(event);
     }
-    return true;
+    return victim;
 }
 
 template <bool kProbed>
@@ -123,12 +336,12 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
     if (admission_ != nullptr)
         admission_->onAccess(line_addr);
 
-    const auto it = index_.find(line_addr);
-    const bool hit = it != index_.end();
-
-    if (hit) {
-        const std::uint32_t idx = it->second;
-        policy_->onHit(setOf(line_addr), idx, line_addr);
+    const std::uint32_t idx = findWay(line_addr);
+    if (idx != kInvalid) {
+        if (classic_ == Classic::Lru || classic_ == Classic::Random)
+            touchMru(idx);
+        else if (classic_ == Classic::Zoo)
+            policy_->onHit(setOf(line_addr), idx, line_addr);
         if constexpr (kProbed) {
             ++probeMeta_[idx].hitCount;
             CacheEvent event;
@@ -139,13 +352,14 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
             event.refIndex = clock_;
             probe_->onEvent(event);
         }
-        if (kind == AccessKind::Write) {
-            if (config_.writePolicy == WritePolicy::CopyBack) {
-                lines_[idx].dirty = true;
-            } else {
-                stats_.bytesToMemory += size;
-                ++stats_.writeThroughs;
-            }
+        // Reads and writes interleave unpredictably, so the write
+        // bookkeeping is branch-free on the hit path.
+        const bool write = kind == AccessKind::Write;
+        if (config_.writePolicy == WritePolicy::CopyBack) {
+            lines_[idx].dirty |= write;
+        } else {
+            stats_.bytesToMemory += write ? size : 0;
+            stats_.writeThroughs += write;
         }
         return true;
     }
@@ -169,7 +383,8 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
         return false;
     }
 
-    if (!install(line_addr, /*prefetched=*/false)) {
+    const std::uint32_t way = install(line_addr, /*prefetched=*/false);
+    if (way == kInvalid) {
         // Admission rejected the fill: the reference is still served
         // (and its memory traffic still flows), the line just is not
         // cached — reads stream the line from memory, writes behave
@@ -184,7 +399,7 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
     }
     if (kind == AccessKind::Write) {
         if (config_.writePolicy == WritePolicy::CopyBack) {
-            lines_[index_.at(line_addr)].dirty = true;
+            lines_[way].dirty = true;
         } else {
             stats_.bytesToMemory += size;
             ++stats_.writeThroughs;
@@ -199,7 +414,7 @@ Cache::maybePrefetch(Addr line_addr)
     const Addr succ = line_addr + config_.lineBytes;
     if (succ < line_addr)
         return; // address-space wraparound
-    if (!index_.contains(succ))
+    if (findWay(succ) == kInvalid)
         install(succ, /*prefetched=*/true);
 }
 
@@ -237,8 +452,7 @@ Cache::access(const MemoryRef &ref)
                 break;
         }
     }
-    if (!hit)
-        ++stats_.misses[k];
+    stats_.misses[k] += !hit;
 
     if (config_.fetchPolicy == FetchPolicy::PrefetchAlways)
         maybePrefetch(last);
@@ -259,7 +473,7 @@ Cache::purge()
         evict(idx, /*is_purge=*/true);
 
     // Reset the policy so every set drains in way order again.
-    policy_->reset();
+    resetReplacement();
     if (admission_ != nullptr)
         admission_->reset();
 
@@ -278,14 +492,18 @@ Cache::exportState() const
     for (const Line &line : lines_)
         state.lines.push_back({line.lineAddr, line.valid, line.dirty});
     state.recency.reserve(lines_.size());
-    policy_->exportRecency(state.recency);
+    if (classic_ == Classic::Zoo) {
+        policy_->exportRecency(state.recency);
+        state.policyWords = policy_->exportWords();
+    } else {
+        exportClassicRecency(state.recency);
+    }
     CACHELAB_ASSERT(state.recency.size() == lines_.size(),
                     "recency lists cover ", state.recency.size(), " of ",
                     lines_.size(), " ways");
     state.rngState = rng_.state();
     state.clock = clock_;
     state.stats = stats_;
-    state.policyWords = policy_->exportWords();
     if (admission_ != nullptr)
         state.admissionWords = admission_->exportWords();
     return state;
@@ -311,29 +529,39 @@ Cache::importState(const CacheState &state)
 
     index_.clear();
     validLines_ = 0;
+    for (Line &line : lines_)
+        line.valid = false;
     for (std::size_t idx = 0; idx < lines_.size(); ++idx) {
         Line &line = lines_[idx];
         line.lineAddr = state.lines[idx].lineAddr;
-        line.valid = state.lines[idx].valid;
         line.dirty = state.lines[idx].dirty;
-        if (line.valid) {
-            CACHELAB_ASSERT(setOf(line.lineAddr) == idx / assoc_,
+        if (state.lines[idx].valid) {
+            CACHELAB_ASSERT(setOf(line.lineAddr) == idx >> assocShift_,
                             "cache state import: line ", line.lineAddr,
                             " in way ", idx, " maps to set ",
                             setOf(line.lineAddr));
-            const bool inserted =
-                index_.emplace(line.lineAddr,
-                               static_cast<std::uint32_t>(idx)).second;
-            CACHELAB_ASSERT(inserted, "cache state import: duplicate line ",
+            CACHELAB_ASSERT(findWay(line.lineAddr) == kInvalid,
+                            "cache state import: duplicate line ",
                             line.lineAddr);
+            line.valid = true;
+            if (!scan_)
+                index_.emplace(line.lineAddr,
+                               static_cast<std::uint32_t>(idx));
             ++validLines_;
         }
     }
 
-    // Hand the policy its state back (recency permutation plus any
-    // policy-specific words; validation lives with the policy).
-    policy_->importRecency(state.recency);
-    policy_->importWords(state.policyWords);
+    // Restore replacement state (recency permutation plus any zoo
+    // policy words; the classic trio keeps none).
+    if (classic_ == Classic::Zoo) {
+        policy_->importRecency(state.recency);
+        policy_->importWords(state.policyWords);
+    } else {
+        importClassicRecency(state.recency);
+        if (!state.policyWords.empty())
+            fatal("policy state import: ", state.policyWords.size(),
+                  " extra state words for a policy that keeps none");
+    }
     if (admission_ != nullptr) {
         if (state.admissionWords.empty())
             admission_->reset(); // legacy snapshot: cold sketch
@@ -354,14 +582,14 @@ Cache::importState(const CacheState &state)
 bool
 Cache::contains(Addr addr) const
 {
-    return index_.contains(alignDown(addr, config_.lineBytes));
+    return findWay(alignDown(addr, config_.lineBytes)) != kInvalid;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const auto it = index_.find(alignDown(addr, config_.lineBytes));
-    return it != index_.end() && lines_[it->second].dirty;
+    const std::uint32_t idx = findWay(alignDown(addr, config_.lineBytes));
+    return idx != kInvalid && lines_[idx].dirty;
 }
 
 } // namespace cachelab

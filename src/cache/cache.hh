@@ -4,19 +4,28 @@
  *
  * A single cache parameterized by CacheConfig: direct-mapped through
  * fully associative, LRU/FIFO/random replacement, copy-back or
- * write-through, demand fetch or prefetch-always.  All bookkeeping is
- * O(1) per access (hash lookup plus intrusive per-set recency lists),
- * so the multi-hundred-million-reference sweeps behind Table 1 and
- * Figures 3-10 run quickly.
+ * write-through, demand fetch or prefetch-always, plus the pluggable
+ * replacement zoo of policy.hh.
+ *
+ * Sets of at most kScanMaxWays ways are a flat tag array: a lookup
+ * scans the set's ways (set and way come from shifts and masks, since
+ * every geometry parameter is a power of two), and LRU/FIFO/random
+ * order is a per-way age.  Wider sets, fully associative caches among
+ * them, find lines through a hash index and keep an O(1) intrusive
+ * recency list.  The classic trio is dispatched statically in both
+ * layouts; only the zoo goes through the virtual ReplacementPolicy.
+ * DESIGN.md §4j explains why checkpoint bytes are the same either way.
  */
 
 #ifndef CACHELAB_CACHE_CACHE_HH
 #define CACHELAB_CACHE_CACHE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -80,9 +89,9 @@ struct CacheState
     /**
      * Per-set recency order as way indices, MRU first: entries
      * [set * assoc, (set + 1) * assoc) list every way of @p set
-     * exactly once (invalid ways are on the list too).  Scan-based
-     * policies emit the identity permutation here and carry their
-     * real state in policyWords.
+     * exactly once (invalid ways are on the list too).  Zoo policies
+     * emit the identity permutation here and carry their real state in
+     * policyWords.
      */
     std::vector<std::uint32_t> recency;
 
@@ -106,7 +115,7 @@ struct CacheState
  * One cache.
  *
  * Thread-compatible (no internal synchronization): use one instance
- * per simulation thread.  Not copyable or movable: the replacement
+ * per simulation thread.  Not copyable or movable: a zoo replacement
  * policy object holds pointers back into this cache.
  */
 class Cache : private PolicyHost
@@ -197,10 +206,30 @@ class Cache : private PolicyHost
     static constexpr std::uint32_t kInvalid =
         std::numeric_limits<std::uint32_t>::max();
 
+    /**
+     * Widest set found by scanning its ways.  Wider sets use index_ and
+     * recency_ instead; the choice follows from the geometry alone.
+     * Measured crossover: an 8-way scan beats the hash lookup, a
+     * 16-way scan loses to it (DESIGN.md §4j).
+     */
+    static constexpr std::uint64_t kScanMaxWays = 8;
+
+    /** Replacement handled by Cache itself; Zoo defers to policy_. */
+    enum class Classic : std::uint8_t
+    {
+        Lru,
+        Fifo,
+        Random,
+        Zoo,
+    };
+
     /** One cache line's metadata. */
     struct Line
     {
         Addr lineAddr = 0; ///< line-aligned address (tag + index)
+        /** Classic-trio recency stamp in scanned sets: the set's
+         *  minimum is its LRU way (unused otherwise). */
+        std::uint32_t age = 0;
         bool valid = false;
         bool dirty = false;
     };
@@ -216,7 +245,57 @@ class Cache : private PolicyHost
         std::uint64_t hitCount = 0;  ///< hits since fill
     };
 
-    std::uint64_t setOf(Addr line_addr) const;
+    /**
+     * Intrusive per-set recency lists for the classic trio in sets
+     * wider than kScanMaxWays.  Ways init in way order (so way 0 sits
+     * at the LRU tail), invalid ways are on the list too, and export
+     * walks MRU to LRU.
+     */
+    class RecencyList
+    {
+      public:
+        void init(std::uint64_t sets, std::uint32_t assoc);
+        void touchMru(std::uint64_t set, std::uint32_t idx);
+        std::uint32_t tail(std::uint64_t set) const { return tail_[set]; }
+        void exportOrder(std::vector<std::uint32_t> &out) const;
+        void importOrder(std::span<const std::uint32_t> order);
+
+      private:
+        void unlink(std::uint64_t set, std::uint32_t idx);
+        void pushMru(std::uint64_t set, std::uint32_t idx);
+
+        std::vector<std::uint32_t> next_;
+        std::vector<std::uint32_t> prev_;
+        std::vector<std::uint32_t> head_;
+        std::vector<std::uint32_t> tail_;
+        std::uint64_t sets_ = 0;
+        std::uint32_t assoc_ = 0;
+    };
+
+    std::uint64_t setOf(Addr line_addr) const
+    {
+        return (line_addr >> lineShift_) & (sets_ - 1);
+    }
+
+    /** @return the way holding @p line_addr, or kInvalid. */
+    std::uint32_t findWay(Addr line_addr) const
+    {
+        if (scan_) {
+            // Branch-free match mask: which way hits is data-dependent,
+            // so an early-exit loop would mispredict on most hits.
+            const auto base =
+                static_cast<std::uint32_t>(setOf(line_addr) << assocShift_);
+            const Line *set = lines_.data() + base;
+            std::uint32_t match = 0;
+            for (std::uint32_t w = 0; w < assoc_; ++w)
+                match |= static_cast<std::uint32_t>(
+                             (set[w].lineAddr == line_addr) & set[w].valid)
+                    << w;
+            return match != 0 ? base + std::countr_zero(match) : kInvalid;
+        }
+        const auto it = index_.find(line_addr);
+        return it == index_.end() ? kInvalid : it->second;
+    }
 
     // PolicyHost: the policy-facing view of the line array.
     bool wayValid(std::uint32_t way) const override
@@ -229,15 +308,48 @@ class Cache : private PolicyHost
         return lines_[way].lineAddr;
     }
 
+    /** Make @p way the MRU way of its set (classic trio). */
+    void touchMru(std::uint32_t way)
+    {
+        if (!scan_) {
+            recency_.touchMru(way >> assocShift_, way);
+            return;
+        }
+        if (stamp_ == std::numeric_limits<std::uint32_t>::max())
+            renumberAges();
+        lines_[way].age = ++stamp_;
+    }
+
+    /** @return the classic trio's LRU way of @p set. */
+    std::uint32_t lruWay(std::uint64_t set) const;
+
+    /** @return the way of @p set the next fill of @p incoming takes. */
+    std::uint32_t victimWay(std::uint64_t set, Addr incoming);
+
+    /** Restore the just-constructed replacement state (purge). */
+    void resetReplacement();
+
+    /** Classic-trio recency image, MRU first per set (exportState). */
+    void exportClassicRecency(std::vector<std::uint32_t> &out) const;
+
+    /** Rebuild classic-trio recency from an exportClassicRecency()
+     *  image; panics unless each set lists each of its ways once. */
+    void importClassicRecency(std::span<const std::uint32_t> recency);
+
+    /** Compact the scanned sets' ages to ranks before the stamp
+     *  wraps (recency order is unchanged). */
+    void renumberAges();
+
     /** Evict (and account) the line in way @p idx if valid. */
     void evict(std::uint32_t idx, bool is_purge);
 
     /**
      * Fetch @p line_addr into its set. @p prefetched selects the
-     * traffic counter.  @return false when the admission policy
-     * rejected the fill (nothing was evicted or installed).
+     * traffic counter.  @return the way filled, or kInvalid when the
+     * admission policy rejected the fill (nothing was evicted or
+     * installed).
      */
-    bool install(Addr line_addr, bool prefetched);
+    std::uint32_t install(Addr line_addr, bool prefetched);
 
     /**
      * Reference one line.  @return true on hit.  On a write the
@@ -266,12 +378,20 @@ class Cache : private PolicyHost
 
     std::vector<Line> lines_;       ///< sets * assoc entries
     std::vector<ProbeMeta> probeMeta_; ///< empty until a probe attaches
-    std::unique_ptr<ReplacementPolicy> policy_;
+    std::unique_ptr<ReplacementPolicy> policy_; ///< zoo only
     std::unique_ptr<AdmissionPolicy> admission_; ///< nullptr = admit all
-    std::unordered_map<Addr, std::uint32_t> index_; ///< lineAddr -> way
+    /** lineAddr -> way; maintained only for sets wider than
+     *  kScanMaxWays. */
+    std::unordered_map<Addr, std::uint32_t> index_;
+    RecencyList recency_; ///< classic trio in wide sets only
 
     std::uint64_t assoc_;
     std::uint64_t sets_;
+    unsigned lineShift_;
+    unsigned assocShift_;
+    bool scan_;            ///< assoc_ <= kScanMaxWays
+    Classic classic_;
+    std::uint32_t stamp_ = 0; ///< highest age handed out
     std::uint64_t validLines_ = 0;
     std::uint64_t clock_ = 0; ///< access() count (event timestamps)
     Rng rng_;

@@ -306,236 +306,8 @@ parseAdmissionPolicy(std::string_view text, PolicySpec &out)
     return std::nullopt;
 }
 
-void
-ReplacementPolicy::importWords(std::span<const std::uint64_t> words)
-{
-    if (!words.empty())
-        fatal("policy state import: ", words.size(),
-              " extra state words for a policy that keeps none");
-}
-
-// ------------------------------------------------------------------
-// The classic trio: intrusive per-set recency lists, bit-identical to
-// the pre-API cache behaviour.
-// ------------------------------------------------------------------
-
 namespace
 {
-
-/**
- * Intrusive per-set recency list — exactly the machinery the cache
- * core used before policies were pluggable, preserved verbatim so the
- * classic policies stay checkpoint-byte-identical: ways init in way
- * order (so way 0 sits at the LRU tail), invalid ways are on the list
- * too, and export walks MRU to LRU.
- */
-class RecencyList
-{
-  public:
-    void
-    init(std::uint64_t sets, std::uint32_t assoc)
-    {
-        sets_ = sets;
-        assoc_ = assoc;
-        const std::uint64_t n = sets * assoc;
-        next_.assign(n, kNoWay);
-        prev_.assign(n, kNoWay);
-        head_.assign(sets, kNoWay);
-        tail_.assign(sets, kNoWay);
-        for (std::uint64_t set = 0; set < sets; ++set)
-            for (std::uint64_t way = 0; way < assoc; ++way)
-                pushMru(set,
-                        static_cast<std::uint32_t>(set * assoc + way));
-    }
-
-    void
-    touchMru(std::uint64_t set, std::uint32_t idx)
-    {
-        unlink(set, idx);
-        pushMru(set, idx);
-    }
-
-    std::uint32_t
-    tail(std::uint64_t set) const
-    {
-        const std::uint32_t lru = tail_[set];
-        CACHELAB_ASSERT(lru != kNoWay, "empty recency list in set ", set);
-        return lru;
-    }
-
-    void
-    exportOrder(std::vector<std::uint32_t> &out) const
-    {
-        for (std::uint64_t set = 0; set < sets_; ++set)
-            for (std::uint32_t idx = head_[set]; idx != kNoWay;
-                 idx = next_[idx])
-                out.push_back(idx);
-    }
-
-    void
-    importOrder(std::span<const std::uint32_t> order)
-    {
-        CACHELAB_ASSERT(order.size() == next_.size(),
-                        "recency import: ", order.size(), " entries for ",
-                        next_.size(), " ways");
-        std::fill(head_.begin(), head_.end(), kNoWay);
-        std::fill(tail_.begin(), tail_.end(), kNoWay);
-        std::fill(next_.begin(), next_.end(), kNoWay);
-        std::fill(prev_.begin(), prev_.end(), kNoWay);
-        for (std::uint64_t set = 0; set < sets_; ++set) {
-            std::uint32_t prev = kNoWay;
-            for (std::uint64_t pos = 0; pos < assoc_; ++pos) {
-                const std::uint32_t idx = order[set * assoc_ + pos];
-                CACHELAB_ASSERT(idx / assoc_ == set &&
-                                    next_[idx] == kNoWay &&
-                                    prev_[idx] == kNoWay &&
-                                    head_[set] != idx,
-                                "recency import: list of set ", set,
-                                " is not a permutation of its ways");
-                if (prev == kNoWay)
-                    head_[set] = idx;
-                else
-                    next_[prev] = idx;
-                prev_[idx] = prev;
-                prev = idx;
-            }
-            tail_[set] = prev;
-        }
-    }
-
-  private:
-    static constexpr std::uint32_t kNoWay =
-        std::numeric_limits<std::uint32_t>::max();
-
-    void
-    unlink(std::uint64_t set, std::uint32_t idx)
-    {
-        const std::uint32_t p = prev_[idx];
-        const std::uint32_t n = next_[idx];
-        if (p != kNoWay)
-            next_[p] = n;
-        else
-            head_[set] = n;
-        if (n != kNoWay)
-            prev_[n] = p;
-        else
-            tail_[set] = p;
-        prev_[idx] = kNoWay;
-        next_[idx] = kNoWay;
-    }
-
-    void
-    pushMru(std::uint64_t set, std::uint32_t idx)
-    {
-        prev_[idx] = kNoWay;
-        next_[idx] = head_[set];
-        if (head_[set] != kNoWay)
-            prev_[head_[set]] = idx;
-        head_[set] = idx;
-        if (tail_[set] == kNoWay)
-            tail_[set] = idx;
-    }
-
-    std::vector<std::uint32_t> next_;
-    std::vector<std::uint32_t> prev_;
-    std::vector<std::uint32_t> head_;
-    std::vector<std::uint32_t> tail_;
-    std::uint64_t sets_ = 0;
-    std::uint32_t assoc_ = 0;
-};
-
-/** Shared skeleton of the recency-list policies. */
-class ListPolicy : public ReplacementPolicy
-{
-  public:
-    void
-    bind(std::uint64_t sets, std::uint32_t assoc, const PolicyHost *host,
-         Rng *rng) override
-    {
-        sets_ = sets;
-        assoc_ = assoc;
-        host_ = host;
-        rng_ = rng;
-        list_.init(sets, assoc);
-    }
-
-    void reset() override { list_.init(sets_, assoc_); }
-
-    void
-    onFill(std::uint64_t set, std::uint32_t way, Addr) override
-    {
-        list_.touchMru(set, way);
-    }
-
-    void
-    exportRecency(std::vector<std::uint32_t> &out) const override
-    {
-        list_.exportOrder(out);
-    }
-
-    void
-    importRecency(std::span<const std::uint32_t> recency) override
-    {
-        list_.importOrder(recency);
-    }
-
-  protected:
-    RecencyList list_;
-    const PolicyHost *host_ = nullptr;
-    Rng *rng_ = nullptr;
-    std::uint64_t sets_ = 0;
-    std::uint32_t assoc_ = 0;
-};
-
-class LruPolicy final : public ListPolicy
-{
-  public:
-    std::uint32_t
-    victimWay(std::uint64_t set, Addr) override
-    {
-        // Invalid ways are never promoted, so they accumulate at the
-        // LRU end and are consumed before any valid line is evicted.
-        return list_.tail(set);
-    }
-
-    void
-    onHit(std::uint64_t set, std::uint32_t way, Addr) override
-    {
-        list_.touchMru(set, way);
-    }
-};
-
-class FifoPolicy final : public ListPolicy
-{
-  public:
-    std::uint32_t
-    victimWay(std::uint64_t set, Addr) override
-    {
-        return list_.tail(set);
-    }
-
-    void onHit(std::uint64_t, std::uint32_t, Addr) override {}
-};
-
-class RandomPolicy final : public ListPolicy
-{
-  public:
-    std::uint32_t
-    victimWay(std::uint64_t set, Addr) override
-    {
-        const std::uint32_t lru = list_.tail(set);
-        if (!host_->wayValid(lru))
-            return lru;
-        return static_cast<std::uint32_t>(set * assoc_ +
-                                          rng_->uniformInt(assoc_));
-    }
-
-    void
-    onHit(std::uint64_t set, std::uint32_t way, Addr) override
-    {
-        list_.touchMru(set, way);
-    }
-};
 
 // ------------------------------------------------------------------
 // The modern zoo: per-way metadata plus O(assoc) victim scans.
@@ -1427,12 +1199,9 @@ makeReplacementPolicy(const PolicySpec &spec)
 {
     if (auto error = checkReplacementPolicy(spec))
         fatal(*error);
-    if (spec.name == "lru")
-        return std::make_unique<LruPolicy>();
-    if (spec.name == "fifo")
-        return std::make_unique<FifoPolicy>();
-    if (spec.name == "random")
-        return std::make_unique<RandomPolicy>();
+    if (spec.name == "lru" || spec.name == "fifo" || spec.name == "random")
+        panic("replacement policy \"", spec.name,
+              "\" is built into Cache, not the policy factory");
     if (spec.name == "slru")
         return std::make_unique<SlruPolicy>(spec);
     if (spec.name == "lfu")

@@ -10,23 +10,25 @@
  *    numeric parameters, parsed from and rendered to the shared
  *    `name:key=value,key=value` syntax every consumer uses (the
  *    `--replacement` flag, serve-spec JSON, manifests, CSV labels).
- *  - ReplacementPolicy — the per-set *behaviour*: victim choice plus
- *    onFill/onHit/onEvict bookkeeping, with serializable state so
- *    exact checkpoints (src/ckpt) keep working for every policy.
+ *  - ReplacementPolicy — the per-set *behaviour* of the zoo policies:
+ *    victim choice plus onFill/onHit/onEvict bookkeeping, with
+ *    serializable state so exact checkpoints (src/ckpt) keep working
+ *    for every policy.
  *  - AdmissionPolicy — an optional filter consulted before a missing
  *    line is installed (the TinyLFU-style frequency sketch lives
  *    here).  The "millions of users" KV/CDN regime is
  *    admission-dominated, so this is a first-class axis, not a
  *    replacement-policy parameter.
  *
- * The classic trio (lru, fifo, random) is implemented on the same
- * interface via the intrusive per-set recency list the cache always
- * used, and is bitwise identical to the pre-API behaviour: same
- * statistics, same probe event streams, same checkpoint bytes.  The
- * modern zoo (slru, lfu, lfuda, 2q, arc) keeps per-way metadata and
- * per-set ghost lists instead and selects victims with an O(assoc)
- * scan — fine for a simulator, trivial to serialize, and easy to
- * validate against independent reference models (tests/policy_test).
+ * The classic trio (lru, fifo, random) shares the spec syntax but not
+ * the virtual interface: Cache (cache.hh) implements it itself, with
+ * no virtual call on the hot path, bitwise identical to the pre-API
+ * behaviour: same statistics, same probe event streams, same
+ * checkpoint bytes.  The modern zoo (slru, lfu, lfuda, 2q, arc) is
+ * what ReplacementPolicy serves: per-way metadata and per-set ghost
+ * lists, victims by an O(assoc) scan — fine for a simulator, trivial
+ * to serialize, and easy to validate against independent reference
+ * models (tests/policy_test).
  */
 
 #ifndef CACHELAB_CACHE_POLICY_HH
@@ -132,7 +134,7 @@ class PolicyHost
 };
 
 /**
- * Replacement behaviour for every set of one cache.
+ * Replacement behaviour of a zoo policy for every set of one cache.
  *
  * Lifecycle: the cache constructs the policy from its PolicySpec,
  * calls bind() once with the geometry, then streams onFill/onHit/
@@ -145,9 +147,8 @@ class PolicyHost
  * the set's ways (MRU-ish first — whatever order the policy wants
  * back), and exportWords() any additional state as uint64 words.
  * Together with the cache's own snapshot these make checkpoint
- * restore exact for every policy.  Policies whose whole state is the
- * recency permutation leave exportWords() empty, which keeps the
- * on-disk checkpoint format byte-identical to the pre-API encoding.
+ * restore exact for every policy.  The words are what moves a zoo
+ * snapshot to the extended (version 2) checkpoint encoding.
  */
 class ReplacementPolicy
 {
@@ -201,11 +202,11 @@ class ReplacementPolicy
     /** Restore from an exportRecency() image (sets * assoc entries). */
     virtual void importRecency(std::span<const std::uint32_t> recency) = 0;
 
-    /** Additional serialized state; empty keeps checkpoints legacy. */
-    virtual std::vector<std::uint64_t> exportWords() const { return {}; }
+    /** Additional serialized state beyond the recency image. */
+    virtual std::vector<std::uint64_t> exportWords() const = 0;
 
     /** Restore exportWords() output; fatal() on malformed input. */
-    virtual void importWords(std::span<const std::uint64_t> words);
+    virtual void importWords(std::span<const std::uint64_t> words) = 0;
 };
 
 /**
@@ -247,9 +248,10 @@ class AdmissionPolicy
 };
 
 /**
- * Instantiate the replacement policy @p spec names.  fatal() on an
+ * Instantiate the zoo replacement policy @p spec names.  fatal() on an
  * unknown name or bad parameters (validate with
- * checkReplacementPolicy() first on untrusted input).
+ * checkReplacementPolicy() first on untrusted input); panic() for the
+ * classic trio, which Cache implements itself.
  */
 std::unique_ptr<ReplacementPolicy> makeReplacementPolicy(
     const PolicySpec &spec);

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstring>
+#include <optional>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -36,6 +37,42 @@ constexpr std::array<char, 4> kMagicCompressed = {'C', 'L', 'T', '2'};
 /** Packed CLT1 record: addr(8) + size(4) + kind(1), written field by
  *  field with no padding. */
 constexpr std::size_t kBinaryRecordBytes = 13;
+
+/** Smallest encodings of one reference, used to bound header-declared
+ *  counts by the bytes actually present: a din record is at least
+ *  "0 0\n", a CLT2 record a tag byte plus a one-byte varint. */
+constexpr std::uint64_t kMinDinRecordBytes = 4;
+constexpr std::uint64_t kMinCompressedRecordBytes = 2;
+
+/** @return bytes from the read position of @p is to its end, or
+ *  std::nullopt when the stream cannot seek (position unchanged). */
+std::optional<std::uint64_t>
+bytesLeft(std::istream &is)
+{
+    const std::streampos here = is.tellg();
+    if (here < 0)
+        return std::nullopt;
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.seekg(here);
+    if (end < here || !is)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(end - here);
+}
+
+/**
+ * fatal() unless @p count records of at least @p min_bytes each fit in
+ * @p left bytes, so a lying header can never drive a reservation.
+ * @p what names the input in the diagnostic.
+ */
+void
+checkDeclaredCount(const std::string &what, std::uint64_t count,
+                   std::uint64_t left, std::uint64_t min_bytes)
+{
+    if (count > left / min_bytes)
+        fatal(what, ": header declares ", count, " refs but only ", left,
+              " bytes follow");
+}
 
 /** LEB128 unsigned varint. */
 void
@@ -374,7 +411,11 @@ readTrace(std::istream &is, TraceFormat format, std::string name)
       case TraceFormat::Binary: {
         std::uint64_t count = 0;
         Trace trace(readPackedHeader(is, kMagic, "binary trace", count));
-        trace.reserve(count);
+        if (const auto left = bytesLeft(is)) {
+            checkDeclaredCount("binary trace", count, *left,
+                               kBinaryRecordBytes);
+            trace.reserve(count);
+        }
         std::array<unsigned char, kBinaryRecordBytes> rec{};
         for (std::uint64_t i = 0; i < count; ++i) {
             is.read(reinterpret_cast<char *>(rec.data()), rec.size());
@@ -388,7 +429,11 @@ readTrace(std::istream &is, TraceFormat format, std::string name)
         std::uint64_t count = 0;
         Trace trace(readPackedHeader(is, kMagicCompressed,
                                      "compressed trace", count));
-        trace.reserve(count);
+        if (const auto left = bytesLeft(is)) {
+            checkDeclaredCount("compressed trace", count, *left,
+                               kMinCompressedRecordBytes);
+            trace.reserve(count);
+        }
         Clt2State state;
         for (std::uint64_t i = 0; i < count; ++i)
             trace.append(readCompressedRecord(is, state));
@@ -538,8 +583,8 @@ class MmapBinarySource : public TraceSource
         off += name_len;
         std::memcpy(&count_, bytes + off, sizeof(count_));
         off += sizeof(count_);
-        if (fileBytes_ - off < count_ * kBinaryRecordBytes)
-            fatal("binary trace: unexpected end of stream");
+        checkDeclaredCount("binary trace '" + path_ + "'", count_,
+                           fileBytes_ - off, kBinaryRecordBytes);
         payload_ = bytes + off;
     }
 
@@ -563,6 +608,9 @@ class BinaryStreamSource : public TraceSource
             fatal("cannot open '", path, "' for reading");
         name_ = readPackedHeader(is_, kMagic, "binary trace", count_);
         payloadOff_ = is_.tellg();
+        if (const auto left = bytesLeft(is_))
+            checkDeclaredCount("binary trace '" + path + "'", count_, *left,
+                               kBinaryRecordBytes);
     }
 
     const std::string &name() const override { return name_; }
@@ -630,7 +678,9 @@ class DinStreamSource : public TraceSource
         if (!is_)
             fatal("cannot open '", path, "' for reading");
         // Scan the leading comment block for the length hint, then
-        // rewind; parsing skips comments anyway.
+        // rewind; parsing skips comments anyway.  A hint the file is
+        // too small to hold is a lie, rejected before anything (such
+        // as materialize()) reserves for it.
         std::string line;
         while (std::getline(is_, line) && !line.empty() && line[0] == '#') {
             constexpr std::string_view kRefsTag = "# refs: ";
@@ -645,6 +695,11 @@ class DinStreamSource : public TraceSource
             }
         }
         rewind();
+        if (haveCount_) {
+            if (const auto bytes = bytesLeft(is_))
+                checkDeclaredCount("din trace '" + path + "'", count_,
+                                   *bytes, kMinDinRecordBytes);
+        }
     }
 
     const std::string &name() const override { return name_; }
@@ -713,6 +768,9 @@ class CompressedStreamSource : public TraceSource
         name_ = readPackedHeader(is_, kMagicCompressed, "compressed trace",
                                  count_);
         payloadOff_ = is_.tellg();
+        if (const auto left = bytesLeft(is_))
+            checkDeclaredCount("compressed trace '" + path + "'", count_,
+                               *left, kMinCompressedRecordBytes);
     }
 
     const std::string &name() const override { return name_; }

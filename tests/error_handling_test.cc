@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "cache/config.hh"
 #include "cache/sector_cache.hh"
@@ -109,6 +112,75 @@ TEST(TraceIo, RejectsTruncatedBinary)
     // Valid magic, then nothing.
     std::stringstream ss(std::string("CLT1"), std::ios::in);
     EXPECT_DEATH({ readTrace(ss, TraceFormat::Binary, {}); }, "");
+}
+
+std::string
+writeTempFile(const std::string &leaf, const std::string &bytes)
+{
+    const std::string path = testing::TempDir() + "/" + leaf;
+    std::ofstream(path, std::ios::binary) << bytes;
+    return path;
+}
+
+/** A CLT1 header (empty name) declaring @p count records, plus one. */
+std::string
+binaryHeader(std::uint64_t count)
+{
+    std::string bytes = "CLT1";
+    bytes.append(4, '\0'); // name length 0
+    bytes.append(reinterpret_cast<const char *>(&count), sizeof(count));
+    bytes.append(13, '\0'); // one (read, addr 0, size 0) record
+    return bytes;
+}
+
+TEST(TraceIo, DinRefsHeaderLargerThanFileIsRejected)
+{
+    // 4e18 used to escape as std::length_error from reserve(); 4e7
+    // reserved ~640 MB before the end-of-stream count check fired.
+    for (const char *claim : {"4000000000000000000", "40000000"}) {
+        const std::string path = writeTempFile(
+            "lying.din", std::string("# trace: x\n# refs: ") + claim +
+                             "\n0 1000 4\n1 2000 4\n2 3000 4\n");
+        EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                     "din trace '.*lying.din': header declares " +
+                         std::string(claim) + " refs");
+    }
+}
+
+TEST(TraceIo, DinRefsHeaderWithinFileSizeStillChecked)
+{
+    const std::string path = writeTempFile(
+        "short.din", "# refs: 5\n0 1000 4\n1 2000 4\n2 3000 4\n");
+    EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                 "header declared 5 refs but the stream held 3");
+}
+
+TEST(TraceIo, BinaryCountHeaderLargerThanPayloadIsRejected)
+{
+    for (std::uint64_t claim : {std::uint64_t{4000000000000000000},
+                                std::uint64_t{1} << 62,
+                                std::uint64_t{40000000}}) {
+        std::stringstream ss(binaryHeader(claim));
+        EXPECT_DEATH({ readTrace(ss, TraceFormat::Binary, {}); },
+                     "binary trace: header declares " +
+                         std::to_string(claim) + " refs but only 13 bytes");
+        const std::string path =
+            writeTempFile("lying.clt", binaryHeader(claim));
+        EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                     "binary trace '.*lying.clt': header declares");
+    }
+}
+
+TEST(TraceIo, CompressedCountHeaderLargerThanPayloadIsRejected)
+{
+    std::string bytes = binaryHeader(1000);
+    bytes[3] = '2'; // CLT2: the 13 payload bytes hold at most 6 records
+    std::stringstream ss(bytes);
+    EXPECT_DEATH({ readTrace(ss, TraceFormat::Compressed, {}); },
+                 "compressed trace: header declares 1000 refs");
+    const std::string path = writeTempFile("lying.ctr", bytes);
+    EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                 "compressed trace '.*lying.ctr': header declares");
 }
 
 TEST(TraceIo, RejectsMissingFile)

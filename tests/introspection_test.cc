@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <memory>
 #include <sstream>
 #include <string>
@@ -217,18 +219,29 @@ TEST(CacheEvents, PrefetchEventsDistinctFromDemandFills)
 
 TEST(CacheEvents, StatsIdenticalWithAndWithoutProbe)
 {
+    // Both sides of Cache's tag-store boundary: a 4-way set is
+    // scanned, a fully associative one is hash-indexed.
     const Trace t = generateTrace(*findTraceProfile("ZGREP"), 30000);
-    Cache plain(table1Config(4096));
-    Cache probed(table1Config(4096));
-    RecordingProbe probe;
-    probed.setProbe(&probe);
-    const CacheStats a = runTrace(t, plain);
-    const CacheStats b = runTrace(t, probed);
-    EXPECT_EQ(a.summarize(), b.summarize());
-    EXPECT_EQ(a.totalMisses(), b.totalMisses());
-    EXPECT_EQ(a.demandFetches, b.demandFetches);
-    EXPECT_EQ(a.bytesToMemory, b.bytesToMemory);
-    EXPECT_FALSE(probe.events.empty());
+    for (std::uint32_t assoc : {4u, 0u}) {
+        for (const char *policy : {"lru", "fifo", "random"}) {
+            CacheConfig config =
+                table1Config(4096, FetchPolicy::PrefetchAlways);
+            config.associativity = assoc;
+            config.replacement = policySpec(policy);
+            Cache plain(config);
+            Cache probed(config);
+            RecordingProbe probe;
+            probed.setProbe(&probe);
+            const CacheStats a = runTrace(t, plain);
+            const CacheStats b = runTrace(t, probed);
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof(CacheStats)), 0)
+                << policy << " at assoc " << assoc << ": "
+                << a.summarize() << " vs " << b.summarize();
+            EXPECT_EQ(plain.exportState().recency,
+                      probed.exportState().recency);
+            EXPECT_FALSE(probe.events.empty());
+        }
+    }
 }
 
 TEST(CacheEvents, DetachRestoresUninstrumentedPath)

@@ -16,7 +16,8 @@
  *  - TinyLFU admission against an offline recomputed count-min
  *    sketch, compared counter-for-counter via exportWords();
  *  - checkpoint round trips: midstream export/import continues
- *    bitwise for every policy, and the classic trio keeps the legacy
+ *    bitwise for every policy on both sides of Cache's scan/hash
+ *    tag-store boundary, and the classic trio keeps the legacy
  *    (version 1) snapshot encoding.
  */
 
@@ -916,46 +917,57 @@ statsBitwiseEqual(const CacheStats &a, const CacheStats &b)
     return std::memcmp(&a, &b, sizeof(CacheStats)) == 0;
 }
 
+/**
+ * Associativities that straddle Cache's tag-store boundary: scanned
+ * sets with per-way ages (1, 4, 8) and hash-indexed sets with recency
+ * lists (16, 32 and full = 64 ways at zooConfig's 4 KiB).
+ */
+constexpr std::uint32_t kCheckpointAssocs[] = {1, 4, 8, 16, 32, 0};
+
 TEST(PolicyCheckpoint, MidstreamRestoreContinuesBitwiseForZoo)
 {
     const std::vector<Addr> addrs = mixedAddresses(20000, 12);
-    for (const char *policy :
-         {"lru", "fifo", "random", "slru", "slru:probation=0.5", "lfu",
-          "lfuda", "2q", "2q:kin=0.5,kout=1", "arc"}) {
-        for (const char *admission : {"", "tinylfu:counters=64"}) {
-            CacheConfig config = zooConfig(policy);
-            ASSERT_FALSE(
-                parseAdmissionPolicy(admission, config.admission));
+    for (std::uint32_t assoc : kCheckpointAssocs) {
+        for (const char *policy :
+             {"lru", "fifo", "random", "slru", "slru:probation=0.5", "lfu",
+              "lfuda", "2q", "2q:kin=0.5,kout=1", "arc"}) {
+            for (const char *admission : {"", "tinylfu:counters=64"}) {
+                CacheConfig config = zooConfig(policy, assoc);
+                ASSERT_FALSE(
+                    parseAdmissionPolicy(admission, config.admission));
+                const std::string what = std::string(policy) + " + \"" +
+                    admission + "\" at assoc " + std::to_string(assoc);
 
-            Cache reference(config);
-            for (Addr a : addrs)
-                reference.access({a, 4, AccessKind::Read});
+                Cache reference(config);
+                for (Addr a : addrs)
+                    reference.access({a, 4, AccessKind::Read});
 
-            Cache first(config);
-            for (std::size_t i = 0; i < addrs.size() / 2; ++i)
-                first.access({addrs[i], 4, AccessKind::Read});
+                Cache first(config);
+                for (std::size_t i = 0; i < addrs.size() / 2; ++i)
+                    first.access({addrs[i], 4, AccessKind::Read});
 
-            // Serialize through the binary format, not just the
-            // in-memory state: policy/admission words must survive
-            // the CKS1 encoder.
-            std::stringstream buffer;
-            ckpt::writeCacheState(buffer, first.exportState());
-            Cache second(config);
-            second.importState(ckpt::readCacheState(buffer));
-            for (std::size_t i = addrs.size() / 2; i < addrs.size();
-                 ++i)
-                second.access({addrs[i], 4, AccessKind::Read});
+                // Serialize through the binary format, not just the
+                // in-memory state: policy/admission words must survive
+                // the CKS1 encoder.
+                std::stringstream buffer;
+                ckpt::writeCacheState(buffer, first.exportState());
+                Cache second(config);
+                second.importState(ckpt::readCacheState(buffer));
+                for (std::size_t i = addrs.size() / 2; i < addrs.size();
+                     ++i)
+                    second.access({addrs[i], 4, AccessKind::Read});
 
-            EXPECT_TRUE(statsBitwiseEqual(second.stats(),
-                                          reference.stats()))
-                << policy << " + \"" << admission << '"';
-            const CacheState want = reference.exportState();
-            const CacheState got = second.exportState();
-            EXPECT_EQ(got.lines, want.lines) << policy;
-            EXPECT_EQ(got.recency, want.recency) << policy;
-            EXPECT_EQ(got.policyWords, want.policyWords) << policy;
-            EXPECT_EQ(got.admissionWords, want.admissionWords)
-                << policy;
+                EXPECT_TRUE(statsBitwiseEqual(second.stats(),
+                                              reference.stats()))
+                    << what;
+                const CacheState want = reference.exportState();
+                const CacheState got = second.exportState();
+                EXPECT_EQ(got.lines, want.lines) << what;
+                EXPECT_EQ(got.recency, want.recency) << what;
+                EXPECT_EQ(got.policyWords, want.policyWords) << what;
+                EXPECT_EQ(got.admissionWords, want.admissionWords)
+                    << what;
+            }
         }
     }
 }
@@ -963,24 +975,44 @@ TEST(PolicyCheckpoint, MidstreamRestoreContinuesBitwiseForZoo)
 TEST(PolicyCheckpoint, ClassicTrioKeepsLegacySnapshotFormat)
 {
     const std::vector<Addr> addrs = mixedAddresses(5000, 13);
-    for (const char *policy : {"lru", "fifo", "random"}) {
-        Cache cache(zooConfig(policy));
-        for (Addr a : addrs)
-            cache.access({a, 4, AccessKind::Read});
-        const CacheState state = cache.exportState();
-        EXPECT_TRUE(state.policyWords.empty()) << policy;
-        EXPECT_TRUE(state.admissionWords.empty()) << policy;
+    for (std::uint32_t assoc : kCheckpointAssocs) {
+        for (const char *policy : {"lru", "fifo", "random"}) {
+            Cache cache(zooConfig(policy, assoc));
+            for (Addr a : addrs)
+                cache.access({a, 4, AccessKind::Read});
+            const CacheState state = cache.exportState();
+            EXPECT_TRUE(state.policyWords.empty()) << policy << assoc;
+            EXPECT_TRUE(state.admissionWords.empty()) << policy << assoc;
 
-        std::stringstream buffer;
-        ckpt::writeCacheState(buffer, state);
-        const std::string bytes = buffer.str();
-        ASSERT_GE(bytes.size(), 8u);
-        EXPECT_EQ(bytes.substr(0, 4), "CKS1");
-        std::uint32_t version = 0;
-        std::memcpy(&version, bytes.data() + 4, sizeof(version));
-        EXPECT_EQ(version, 1u) << policy
-                               << ": classic snapshots must stay on the "
-                                  "pre-policy-API encoding";
+            std::stringstream buffer;
+            ckpt::writeCacheState(buffer, state);
+            const std::string bytes = buffer.str();
+            ASSERT_GE(bytes.size(), 8u);
+            EXPECT_EQ(bytes.substr(0, 4), "CKS1");
+            std::uint32_t version = 0;
+            std::memcpy(&version, bytes.data() + 4, sizeof(version));
+            EXPECT_EQ(version, 1u)
+                << policy << " at assoc " << assoc
+                << ": classic snapshots must stay on the pre-policy-API "
+                   "encoding";
+        }
+    }
+}
+
+TEST(PolicyCheckpointDeathTest, RecencyListingAWayTwiceIsRejected)
+{
+    // One scanned geometry (per-way ages) and one hash-indexed one
+    // (recency lists): both must refuse a non-permutation.
+    for (std::uint32_t assoc : {4u, 32u}) {
+        Cache cache(zooConfig("lru", assoc));
+        for (Addr a : mixedAddresses(2000, 17))
+            cache.access({a, 4, AccessKind::Read});
+        CacheState state = cache.exportState();
+        state.recency[1] = state.recency[0]; // set 0 lists a way twice
+        Cache target(zooConfig("lru", assoc));
+        EXPECT_DEATH(target.importState(state),
+                     "list of set 0 is not a permutation of its ways")
+            << "assoc " << assoc;
     }
 }
 
