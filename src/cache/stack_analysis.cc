@@ -6,6 +6,8 @@
 #include "cache/stack_analysis.hh"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -16,8 +18,25 @@ namespace cachelab
 namespace
 {
 
-/** Initial Fenwick capacity; doubles as the trace's footprint grows. */
+/** Initial clock capacity (a multiple of 64); doubles as the trace's
+ *  footprint grows. */
 constexpr std::uint64_t kInitialTimeCapacity = 1024;
+
+/** Initial id-table slots (a power of two). */
+constexpr std::size_t kInitialIndexSlots = 1024;
+
+/** Distinct-line limit: ids stay below kNoLine and block-tree sums
+ *  fit their int32 nodes. */
+constexpr std::size_t kMaxLines = std::numeric_limits<std::int32_t>::max();
+
+/** Fibonacci-hashing multiplier: the table takes the product's top bits. */
+constexpr std::uint64_t kHashMultiplier = 0x9e3779b97f4a7c15ULL;
+
+constexpr std::uint64_t
+bitOf(std::uint64_t t)
+{
+    return std::uint64_t{1} << (t & 63);
+}
 
 } // namespace
 
@@ -26,63 +45,136 @@ StackAnalyzer::StackAnalyzer(std::uint32_t line_bytes)
 {
     CACHELAB_ASSERT(isPowerOfTwo(line_bytes),
                     "line size must be a power of two");
-    timeCapacity_ = kInitialTimeCapacity;
-    tree_.assign(timeCapacity_ + 1, 0);
+    lineShift_ = floorLog2(line_bytes);
+    index_.assign(kInitialIndexSlots, kNoLine);
+    indexShift_ = 64 - floorLog2(kInitialIndexSlots);
+    compact(kInitialTimeCapacity); // an empty clock
+}
+
+std::size_t
+StackAnalyzer::findSlot(Addr line_addr) const
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(
+        ((line_addr >> lineShift_) * kHashMultiplier) >> indexShift_);
+    for (;; slot = (slot + 1) & mask) {
+        const std::uint32_t id = index_[slot];
+        if (id == kNoLine || lines_[id].addr == line_addr)
+            return slot;
+    }
 }
 
 void
-StackAnalyzer::bitAdd(std::uint64_t pos, std::int64_t delta)
+StackAnalyzer::growIndex()
 {
-    for (; pos <= timeCapacity_; pos += pos & (~pos + 1))
-        tree_[pos] += delta;
+    index_.assign(index_.size() * 2, kNoLine);
+    --indexShift_;
+    for (std::size_t id = 0; id < lines_.size(); ++id)
+        index_[findSlot(lines_[id].addr)] = static_cast<std::uint32_t>(id);
+}
+
+void
+StackAnalyzer::blockAdd(std::uint64_t word, std::int32_t delta)
+{
+    for (std::uint64_t i = word + 1; i < blocks_.size(); i += i & (~i + 1))
+        blocks_[i] += delta;
 }
 
 std::uint64_t
-StackAnalyzer::bitPrefix(std::uint64_t pos) const
+StackAnalyzer::blockPrefix(std::uint64_t word) const
 {
     std::int64_t sum = 0;
-    for (; pos; pos -= pos & (~pos + 1))
-        sum += tree_[pos];
+    for (std::uint64_t i = word; i; i &= i - 1)
+        sum += blocks_[i];
     return static_cast<std::uint64_t>(sum);
+}
+
+void
+StackAnalyzer::addMark(std::uint64_t t)
+{
+    marks_[t >> 6] |= bitOf(t);
+    blockAdd(t >> 6, +1);
+}
+
+void
+StackAnalyzer::moveMark(std::uint64_t from, std::uint64_t to)
+{
+    marks_[from >> 6] &= ~bitOf(from);
+    marks_[to >> 6] |= bitOf(to);
+    if ((from >> 6) != (to >> 6)) {
+        blockAdd(from >> 6, -1);
+        blockAdd(to >> 6, +1);
+    }
 }
 
 std::uint64_t
 StackAnalyzer::depthOf(const LineState &state) const
 {
-    // Marked timestamps at or after the line's own = lines touched
-    // since (inclusive), which is its 1-based stack depth.
-    return lines_.size() - bitPrefix(state.lastTime - 1);
+    // Marks at or after the line's own = lines touched since
+    // (inclusive), which is its 1-based stack depth.
+    const std::uint64_t word = state.lastTime >> 6;
+    const std::uint64_t top = (time_ - 1) >> 6;
+    if (top - word <= kNearWords) {
+        std::uint64_t depth = static_cast<std::uint64_t>(
+            std::popcount(marks_[word] >> (state.lastTime & 63)));
+        for (std::uint64_t w = word + 1; w <= top; ++w)
+            depth += static_cast<std::uint64_t>(std::popcount(marks_[w]));
+        return depth;
+    }
+    const std::uint64_t below = static_cast<std::uint64_t>(
+        std::popcount(marks_[word] & (bitOf(state.lastTime) - 1)));
+    return lines_.size() - blockPrefix(word) - below;
 }
 
 void
 StackAnalyzer::compact(std::uint64_t capacity)
 {
     CACHELAB_ASSERT(lines_.size() < capacity, "compaction target too small");
-    std::vector<std::pair<std::uint64_t, Addr>> order;
-    order.reserve(lines_.size());
-    for (const auto &[addr, state] : lines_)
-        order.emplace_back(state.lastTime, addr);
-    std::sort(order.begin(), order.end());
+    // Walk the marks in clock order and renumber through owner_.  The
+    // write cursor never passes the read cursor, so owner_ is
+    // rewritten in place.
+    std::uint64_t live = 0;
+    for (std::uint64_t w = 0; w * 64 < time_; ++w) {
+        for (std::uint64_t bits = marks_[w]; bits; bits &= bits - 1) {
+            const std::uint32_t id =
+                owner_[w * 64 + static_cast<std::uint64_t>(
+                                    std::countr_zero(bits))];
+            owner_[live] = id;
+            lines_[id].lastTime = live++;
+        }
+    }
+    CACHELAB_ASSERT(live == lines_.size(), "compaction found ", live,
+                    " marks for ", lines_.size(), " lines");
 
-    timeCapacity_ = capacity;
-    tree_.assign(timeCapacity_ + 1, 0);
-    time_ = 0;
-    for (const auto &[old_time, addr] : order) {
-        lines_[addr].lastTime = ++time_;
-        bitAdd(time_, +1);
+    // The live marks are now exactly timestamps [0, live).
+    time_ = live;
+    owner_.resize(capacity);
+    marks_.assign(capacity / 64, 0);
+    for (std::uint64_t w = 0; w < live / 64; ++w)
+        marks_[w] = ~std::uint64_t{0};
+    if (live % 64)
+        marks_[live / 64] = bitOf(live) - 1;
+
+    // O(n) Fenwick build: each node pushes its sum to its parent.
+    blocks_.assign(marks_.size() + 1, 0);
+    for (std::uint64_t i = 1; i < blocks_.size(); ++i) {
+        blocks_[i] += std::popcount(marks_[i - 1]);
+        const std::uint64_t parent = i + (i & (~i + 1));
+        if (parent < blocks_.size())
+            blocks_[parent] += blocks_[i];
     }
 }
 
 std::uint64_t
 StackAnalyzer::allocTimestamp()
 {
-    if (time_ == timeCapacity_) {
+    const std::uint64_t capacity = owner_.size();
+    if (time_ == capacity) {
         // Renumber in place when at most half the timestamps are
-        // live; otherwise double the tree as well.
-        compact(lines_.size() <= timeCapacity_ / 2 ? timeCapacity_
-                                                   : timeCapacity_ * 2);
+        // live; otherwise double the clock as well.
+        compact(lines_.size() <= capacity / 2 ? capacity : capacity * 2);
     }
-    return ++time_;
+    return time_++;
 }
 
 void
@@ -99,17 +191,25 @@ std::uint64_t
 StackAnalyzer::touchLine(Addr line_addr, bool is_write)
 {
     ++lineTouches_;
-    const auto it = lines_.find(line_addr);
-    if (it == lines_.end()) {
+    const std::size_t slot = findSlot(line_addr);
+    if (index_[slot] == kNoLine) {
+        CACHELAB_ASSERT(lines_.size() < kMaxLines, "too many distinct lines");
+        // Take the timestamp before the line joins, so a compaction
+        // here sees exactly one mark per existing line.
         const std::uint64_t t = allocTimestamp();
-        lines_.emplace(line_addr,
-                       LineState{t, is_write ? 1 : kClean});
-        bitAdd(t, +1);
+        const auto id = static_cast<std::uint32_t>(lines_.size());
+        lines_.push_back({t, is_write ? 1 : kClean, line_addr});
+        owner_[t] = id;
+        addMark(t);
+        index_[slot] = id;
+        if (2 * lines_.size() > index_.size())
+            growIndex();
         ++cold_;
         return 0;
     }
 
-    LineState &state = it->second;
+    const std::uint32_t id = index_[slot];
+    LineState &state = lines_[id];
     const std::uint64_t depth = depthOf(state);
     CACHELAB_ASSERT(depth >= 1 && depth <= lines_.size(),
                     "corrupt stack depth");
@@ -124,11 +224,11 @@ StackAnalyzer::touchLine(Addr line_addr, bool is_write)
         : (state.dirtyFrom == kClean ? kClean
                                      : std::max(state.dirtyFrom, depth));
 
-    // Re-stamp: allocate first (compaction keeps one mark per line),
-    // then move the line's mark to the fresh timestamp.
+    // Re-stamp: allocate first (a compaction renumbers lastTime), then
+    // move the line's mark to the fresh timestamp.
     const std::uint64_t t = allocTimestamp();
-    bitAdd(state.lastTime, -1);
-    bitAdd(t, +1);
+    moveMark(state.lastTime, t);
+    owner_[t] = id;
     state.lastTime = t;
 
     if (depth > distances_.size())
@@ -266,7 +366,7 @@ StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
         dirty += dirtyPushDelta_[n];
     // ... plus lines never touched again: pushed from every size
     // smaller than their current depth, dirty down to their threshold.
-    for (const auto &[addr, state] : lines_) {
+    for (const LineState &state : lines_) {
         if (state.dirtyFrom == kClean || state.dirtyFrom > lines)
             continue;
         if (lines < depthOf(state))
@@ -350,30 +450,13 @@ SetAssocStackAnalyzer::missRatioFor(std::uint64_t ways) const
         : 0.0;
 }
 
-namespace
-{
-
-std::vector<double>
-curveFrom(const StackAnalyzer &analyzer,
-          const std::vector<std::uint64_t> &sizes)
-{
-    std::vector<double> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t s : sizes)
-        out.push_back(analyzer.refMissRatioFor(s));
-    return out;
-}
-
-} // namespace
-
 std::vector<double>
 lruMissRatioCurve(const Trace &trace,
                   const std::vector<std::uint64_t> &sizes,
                   std::uint32_t line_bytes)
 {
-    StackAnalyzer analyzer(line_bytes);
-    analyzer.accessAll(trace);
-    return curveFrom(analyzer, sizes);
+    MemorySource source(trace.refs(), trace.name());
+    return lruMissRatioCurve(source, sizes, line_bytes);
 }
 
 std::vector<double>
@@ -385,7 +468,11 @@ lruMissRatioCurve(TraceSource &source,
     source.forEachBatch([&](std::span<const MemoryRef> batch) {
         analyzer.accessAll(batch);
     });
-    return curveFrom(analyzer, sizes);
+    std::vector<double> out;
+    out.reserve(sizes.size());
+    for (std::uint64_t s : sizes)
+        out.push_back(analyzer.refMissRatioFor(s));
+    return out;
 }
 
 } // namespace cachelab

@@ -24,6 +24,7 @@
 #include "obs/trace_event.hh"
 #include "sim/run.hh"
 #include "trace/memory_ref.hh"
+#include "trace/source.hh"
 
 namespace cachelab
 {
@@ -132,6 +133,13 @@ driveSpan(std::span<const MemoryRef> refs, System &system,
  */
 void driveFinish(const DriveState &state, const RunConfig &config,
                  const DriveObs &ob);
+
+/**
+ * source.nextBatch(out) timed as one "source" phase, so a streamed
+ * run's phase profile shows what generating or decoding its input
+ * cost apart from the simulation that consumes it.
+ */
+std::size_t nextSourceBatch(TraceSource &source, std::span<MemoryRef> out);
 
 } // namespace detail
 } // namespace cachelab

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "obs/profile.hh"
 #include "sim/drive.hh"
 #include "util/logging.hh"
 
@@ -40,6 +41,13 @@ driveFinish(const DriveState &state, const RunConfig &config,
     obs::Registry &registry = obs::Registry::global();
     registry.counter("sim.runs").add(1);
     registry.counter("sim.refs").add(state.seen);
+}
+
+std::size_t
+nextSourceBatch(TraceSource &source, std::span<MemoryRef> out)
+{
+    obs::ProfileScope profile("source");
+    return source.nextBatch(out);
 }
 
 } // namespace detail
@@ -82,7 +90,7 @@ driveSource(TraceSource &source, System &system, const RunConfig &config,
     const detail::DriveObs ob;
     std::vector<MemoryRef> buffer(config.resolvedBatchRefs());
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0)
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0)
         detail::driveSpan(std::span<const MemoryRef>(buffer.data(), got),
                           system, config, state, ob);
     detail::driveFinish(state, config, ob);

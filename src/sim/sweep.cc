@@ -169,34 +169,6 @@ sweepUnifiedPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     return out;
 }
 
-std::vector<SweepPoint>
-sweepUnifiedSinglePass(const Trace &trace,
-                       const std::vector<std::uint64_t> &sizes,
-                       const CacheConfig &base, const RunConfig &run)
-{
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
-    rejectProbes(run, "single-pass Mattson");
-    obs::Registry::global().counter("sweep.points").add(sizes.size());
-    obs::ProfileScope profile("sweep.single_pass");
-    obs::TraceSpan span("single_pass", "sweep",
-                        {{"trace", trace.name()}});
-    StackAnalyzer analyzer(base.lineBytes);
-    analyzer.accessAll(trace);
-    // The single pass covers every size at once, so the whole sweep
-    // costs one trace worth of simulated references.
-    obs::Registry::global().counter("sim.refs").add(trace.size());
-    if (obs::ProgressMeter::global().enabled())
-        obs::ProgressMeter::global().advance(trace.size());
-    std::vector<SweepPoint> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size); // same validation as a real run
-        out.push_back({size, analyzer.table1StatsFor(size)});
-    }
-    return out;
-}
-
 std::vector<SplitSweepPoint>
 sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
                   const CacheConfig &base, const RunConfig &run)
@@ -218,41 +190,6 @@ sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
         runTrace(trace, split, run);
         out[i] = {sizes[i], split.icache().stats(), split.dcache().stats()};
     });
-    return out;
-}
-
-std::vector<SplitSweepPoint>
-sweepSplitSinglePass(const Trace &trace,
-                     const std::vector<std::uint64_t> &sizes,
-                     const CacheConfig &base, const RunConfig &run)
-{
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
-    rejectProbes(run, "single-pass Mattson");
-    obs::Registry::global().counter("sweep.points").add(sizes.size());
-    obs::ProfileScope profile("sweep.single_pass");
-    obs::TraceSpan span("single_pass", "sweep",
-                        {{"trace", trace.name()},
-                         {"organization", "split"}});
-    // The split organization routes ifetches and data to independent
-    // caches, so each side is its own fully associative LRU stream.
-    StackAnalyzer istream(base.lineBytes), dstream(base.lineBytes);
-    for (const MemoryRef &ref : trace) {
-        if (ref.kind == AccessKind::IFetch)
-            istream.access(ref);
-        else
-            dstream.access(ref);
-    }
-    obs::Registry::global().counter("sim.refs").add(trace.size());
-    if (obs::ProgressMeter::global().enabled())
-        obs::ProgressMeter::global().advance(trace.size());
-    std::vector<SplitSweepPoint> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size);
-        out.push_back({size, istream.table1StatsFor(size),
-                       dstream.table1StatsFor(size)});
-    }
     return out;
 }
 
@@ -285,7 +222,7 @@ sweepUnifiedPerSizeStream(TraceSource &source,
     detail::BatchExecutor exec(run);
     std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         const std::span<const MemoryRef> batch(buffer.data(), got);
         exec.parallelFor(sizes.size(), [&](std::size_t i) {
             detail::driveSpan(batch, *caches[i], run, states[i], ob);
@@ -301,9 +238,9 @@ sweepUnifiedPerSizeStream(TraceSource &source,
 }
 
 std::vector<SweepPoint>
-sweepUnifiedSinglePassStream(TraceSource &source,
-                             const std::vector<std::uint64_t> &sizes,
-                             const CacheConfig &base, const RunConfig &run)
+sweepUnifiedSinglePass(TraceSource &source,
+                       const std::vector<std::uint64_t> &sizes,
+                       const CacheConfig &base, const RunConfig &run)
 {
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
@@ -314,12 +251,14 @@ sweepUnifiedSinglePassStream(TraceSource &source,
                         {{"trace", source.name()}});
     StackAnalyzer analyzer(base.lineBytes);
     std::uint64_t total = 0;
-    source.forEachBatch(
-        [&](std::span<const MemoryRef> batch) {
-            analyzer.accessAll(batch);
-            total += batch.size();
-        },
-        run.resolvedBatchRefs());
+    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
+    std::size_t got;
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
+        analyzer.accessAll(std::span<const MemoryRef>(buffer.data(), got));
+        total += got;
+    }
+    // The single pass covers every size at once, so the whole sweep
+    // costs one trace worth of simulated references.
     obs::Registry::global().counter("sim.refs").add(total);
     if (obs::ProgressMeter::global().enabled())
         obs::ProgressMeter::global().advance(total);
@@ -360,7 +299,7 @@ sweepSplitPerSizeStream(TraceSource &source,
     detail::BatchExecutor exec(run);
     std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         const std::span<const MemoryRef> batch(buffer.data(), got);
         exec.parallelFor(sizes.size(), [&](std::size_t i) {
             detail::driveSpan(batch, *splits[i], run, states[i], ob);
@@ -377,9 +316,9 @@ sweepSplitPerSizeStream(TraceSource &source,
 }
 
 std::vector<SplitSweepPoint>
-sweepSplitSinglePassStream(TraceSource &source,
-                           const std::vector<std::uint64_t> &sizes,
-                           const CacheConfig &base, const RunConfig &run)
+sweepSplitSinglePass(TraceSource &source,
+                     const std::vector<std::uint64_t> &sizes,
+                     const CacheConfig &base, const RunConfig &run)
 {
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
@@ -389,19 +328,21 @@ sweepSplitSinglePassStream(TraceSource &source,
     obs::TraceSpan span("single_pass", "sweep",
                         {{"trace", source.name()},
                          {"organization", "split"}});
+    // The split organization routes ifetches and data to independent
+    // caches, so each side is its own fully associative LRU stream.
     StackAnalyzer istream(base.lineBytes), dstream(base.lineBytes);
     std::uint64_t total = 0;
-    source.forEachBatch(
-        [&](std::span<const MemoryRef> batch) {
-            for (const MemoryRef &ref : batch) {
-                if (ref.kind == AccessKind::IFetch)
-                    istream.access(ref);
-                else
-                    dstream.access(ref);
-            }
-            total += batch.size();
-        },
-        run.resolvedBatchRefs());
+    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
+    std::size_t got;
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
+        for (std::size_t i = 0; i < got; ++i) {
+            if (buffer[i].kind == AccessKind::IFetch)
+                istream.access(buffer[i]);
+            else
+                dstream.access(buffer[i]);
+        }
+        total += got;
+    }
     obs::Registry::global().counter("sim.refs").add(total);
     if (obs::ProgressMeter::global().enabled())
         obs::ProgressMeter::global().advance(total);
@@ -450,21 +391,24 @@ sweepUnified(const Trace &trace, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
+    // The single-pass engine has one body, the streamed one; a
+    // materialized trace feeds it from memory.
+    MemorySource source(trace.refs(), trace.name());
     switch (engine) {
       case SweepEngine::Auto:
         // Probes force the per-size path: only real caches emit events.
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(trace, sizes, base, run)
+            ? sweepUnifiedSinglePass(source, sizes, base, run)
             : sweepUnifiedPerSize(trace, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepUnifiedPerSize(trace, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(trace, sizes, base, run);
+        return sweepUnifiedSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size = sweepUnifiedPerSize(trace, sizes, base, run);
-        const auto fast = sweepUnifiedSinglePass(trace, sizes, base, run);
+        const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].stats, fast[i].stats))
                 reportMismatch("unified", sizes[i], per_size[i].stats,
@@ -490,20 +434,23 @@ std::vector<SplitSweepPoint>
 sweepSplit(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
+    // The single-pass engine has one body, the streamed one; a
+    // materialized trace feeds it from memory.
+    MemorySource source(trace.refs(), trace.name());
     switch (engine) {
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepSplitSinglePass(trace, sizes, base, run)
+            ? sweepSplitSinglePass(source, sizes, base, run)
             : sweepSplitPerSize(trace, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepSplitPerSize(trace, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(trace, sizes, base, run);
+        return sweepSplitSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size = sweepSplitPerSize(trace, sizes, base, run);
-        const auto fast = sweepSplitSinglePass(trace, sizes, base, run);
+        const auto fast = sweepSplitSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].icache, fast[i].icache))
                 reportMismatch("split icache", sizes[i], per_size[i].icache,
@@ -538,19 +485,19 @@ sweepUnified(TraceSource &source, const std::vector<std::uint64_t> &sizes,
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepUnifiedSinglePassStream(source, sizes, base, run)
+            ? sweepUnifiedSinglePass(source, sizes, base, run)
             : sweepUnifiedPerSizeStream(source, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepUnifiedPerSizeStream(source, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePassStream(source, sizes, base, run);
+        return sweepUnifiedSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size =
             sweepUnifiedPerSizeStream(source, sizes, base, run);
         source.reset();
         const auto fast =
-            sweepUnifiedSinglePassStream(source, sizes, base, run);
+            sweepUnifiedSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].stats, fast[i].stats))
                 reportMismatch("unified", sizes[i], per_size[i].stats,
@@ -580,19 +527,19 @@ sweepSplit(TraceSource &source, const std::vector<std::uint64_t> &sizes,
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepSplitSinglePassStream(source, sizes, base, run)
+            ? sweepSplitSinglePass(source, sizes, base, run)
             : sweepSplitPerSizeStream(source, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepSplitPerSizeStream(source, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepSplitSinglePassStream(source, sizes, base, run);
+        return sweepSplitSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size =
             sweepSplitPerSizeStream(source, sizes, base, run);
         source.reset();
         const auto fast =
-            sweepSplitSinglePassStream(source, sizes, base, run);
+            sweepSplitSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].icache, fast[i].icache))
                 reportMismatch("split icache", sizes[i], per_size[i].icache,

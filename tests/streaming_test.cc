@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -34,6 +35,7 @@
 #include "cache/cache.hh"
 #include "cache/organization.hh"
 #include "cache/stack_analysis.hh"
+#include "obs/profile.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/sampled.hh"
@@ -471,6 +473,41 @@ TEST(StreamingDrivers, SweepSplitBitwiseForEveryEngine)
                 << sizes[i];
         }
     }
+}
+
+TEST(StreamingDrivers, ProfiledStreamReportsSourcePhase)
+{
+    // A streamed run times each nextBatch() as its own "source" phase,
+    // for the single-run driver and for both sweep engines.
+    const TraceProfile *profile = findTraceProfile("ZGREP");
+    ASSERT_NE(profile, nullptr);
+    const CacheConfig base = table1Config(256);
+    const std::vector<std::uint64_t> sizes = {256, 1024};
+    RunConfig run;
+    run.batchRefs = 4099;
+
+    for (const SweepEngine engine :
+         {SweepEngine::PerSize, SweepEngine::SinglePass}) {
+        obs::resetProfiles();
+        obs::setProfilingEnabled(true);
+        const auto source = streamTraceExactly(*profile, 20000);
+        Cache cache(base);
+        runTrace(*source, cache, run);
+        source->reset();
+        sweepUnified(*source, sizes, base, run, engine);
+        obs::setProfilingEnabled(false);
+
+        const auto report = obs::profileReport();
+        const auto it = std::find_if(
+            report.begin(), report.end(),
+            [](const obs::PhaseProfile &p) { return p.phase == "source"; });
+        ASSERT_NE(it, report.end()) << "engine " << static_cast<int>(engine);
+        // ceil(20000 / 4099) = 5 batches plus the empty end-of-stream
+        // call, once per pass.
+        EXPECT_EQ(it->calls, 12u) << "engine " << static_cast<int>(engine);
+        EXPECT_GT(it->totalNs, 0u) << "engine " << static_cast<int>(engine);
+    }
+    obs::resetProfiles();
 }
 
 // ---------------------------------------------------------------------

@@ -102,6 +102,19 @@ print(f"    peak rss {rss / 2**20:.1f} MiB (cap {cap_bytes / 2**20:.0f}"
       f" MiB), {rate / 1e6:.1f} M refs/s")
 EOF
 
+echo "==> single-pass stack smoke (verify engine, streamed, unified + split)"
+# The verify engine runs both the per-size caches and the single
+# Mattson pass and fatal-exits on any mismatch.  At 16 B lines the
+# ZGREP footprint outgrows the stack's initial clock once; at 4 B
+# lines (~3 000 lines) it doubles it three times.
+for line in 16 4; do
+    for org in "" --split; do
+        ${sim} --stream --profile ZGREP --refs 2000000 --sweep 32:65536 \
+            --engine verify --line "${line}" ${org} > /dev/null
+    done
+done
+echo "    single pass matches per-size at every size"
+
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
