@@ -34,6 +34,7 @@
 #include "obs/profile.hh"
 #include "obs/trace_event.hh"
 #include "sample/sampler.hh"
+#include "sim/drive.hh"
 #include "sim/sweep.hh"
 #include "stats/summary.hh"
 #include "trace/transforms.hh"
@@ -355,7 +356,8 @@ driveSampledSource(TraceSource &source, System &system,
     std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
     std::size_t got;
     // An early-stopped engine ignores further input; stop decoding.
-    while (engine.active() && (got = source.nextBatch(buffer)) != 0)
+    while (engine.active() &&
+           (got = detail::nextSourceBatch(source, buffer)) != 0)
         engine.feed(std::span<const MemoryRef>(buffer.data(), got));
     return engine.finish();
 }
@@ -467,7 +469,7 @@ sweepUnifiedSampled(TraceSource &source,
     detail::BatchExecutor exec(run);
     std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         const std::span<const MemoryRef> batch(buffer.data(), got);
         exec.parallelFor(sizes.size(),
                          [&](std::size_t i) { engines[i]->feed(batch); });
@@ -536,7 +538,7 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
     ibuf.reserve(buffer.size());
     dbuf.reserve(buffer.size());
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         ibuf.clear();
         dbuf.clear();
         for (std::size_t k = 0; k < got; ++k) {
@@ -620,7 +622,7 @@ sweepUnifiedSampled(TraceSource &source,
     std::uint64_t consumed = 0;
     std::uint64_t content_hash = ckpt::kFnvOffset;
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         const std::span<const MemoryRef> batch(buffer.data(), got);
         content_hash = ckpt::hashRefs(content_hash, batch);
         consumed += got;
@@ -707,7 +709,7 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
     std::uint64_t consumed = 0;
     std::uint64_t content_hash = ckpt::kFnvOffset;
     std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
         const std::span<const MemoryRef> batch(buffer.data(), got);
         content_hash = ckpt::hashRefs(content_hash, batch);
         consumed += got;

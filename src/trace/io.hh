@@ -30,6 +30,13 @@
  *    for Binary, incremental decoders for Din and Compressed — and
  *    saveTrace(TraceSource&, ...) writes a stream without ever
  *    materializing it.
+ *
+ * Din and Compressed input goes through one fixed 64 KiB byte buffer
+ * per reader (a din line is a string_view into it, a CLT2 record a
+ * byte cursor over it), and every writer encodes into one such buffer
+ * before a single ostream write.  Malformed din or CLT2 input is
+ * fatal() with a one-line diagnostic naming the file (or, for
+ * readTrace(), the trace) and the line or record number.
  */
 
 #ifndef CACHELAB_TRACE_IO_HH
@@ -38,6 +45,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "trace/source.hh"
 #include "trace/trace.hh"
@@ -71,6 +79,41 @@ void writeTrace(const Trace &trace, std::ostream &os, TraceFormat format);
  * @throws via fatal() on malformed input.
  */
 Trace readTrace(std::istream &is, TraceFormat format, std::string name);
+
+/** How parseDinLine() classified one din line. */
+enum class DinLineStatus : std::uint8_t
+{
+    Record,     ///< a reference, in DinLine::ref
+    Skip,       ///< empty line or '#' comment
+    Malformed,  ///< no `<label> <hex-addr>` pair at the start
+    BadAddress, ///< the address token is not one whole hex number
+    ZeroSize,   ///< the size field reads as zero
+    BadLabel,   ///< a label other than 0, 1 or 2
+};
+
+/** One parsed din line. */
+struct DinLine
+{
+    DinLineStatus status = DinLineStatus::Skip;
+    MemoryRef ref{};       ///< the reference, for Record
+    int label = 0;         ///< the label as read, for BadLabel
+    std::string_view addr; ///< the address token (a view into the line)
+};
+
+/**
+ * Parse one din line, without its '\n'.  The accepted language and
+ * the decoded references are those of `istream >> int >> string`,
+ * `stoull(addr, 16)` over the whole token and `>> uint32` on the
+ * line: leading "C"-locale whitespace ('\r' included), a signed
+ * decimal label, a signed address with an optional 0x/0X prefix, an
+ * optional signed decimal size (absent = 4, non-numeric = 0, too
+ * large = 4294967295, '-' negates modulo 2^32), and anything after
+ * the size ignored.  A line is a comment only when its first byte is
+ * '#'.
+ *
+ * Never fatal()s: the caller adds the file and line to a rejection.
+ */
+DinLine parseDinLine(std::string_view line);
 
 /** Write @p trace to @p path in @p format. */
 void saveTrace(const Trace &trace, const std::string &path,

@@ -183,6 +183,36 @@ TEST(TraceIo, CompressedCountHeaderLargerThanPayloadIsRejected)
                  "compressed trace '.*lying.ctr': header declares");
 }
 
+TEST(TraceIo, DinDiagnosticNamesFileAndLine)
+{
+    const std::string path =
+        writeTempFile("bad_line.din", "# c\n0 1000 4\n0 zz\n");
+    EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                 "din trace '.*bad_line.din' line 3: bad address 'zz'");
+    std::stringstream ss("0 1000 4\n7 10\n");
+    EXPECT_DEATH({ readTrace(ss, TraceFormat::Din, "named"); },
+                 "din trace 'named' line 2: unknown access label 7");
+}
+
+TEST(TraceIo, CompressedDiagnosticNamesFileAndRecord)
+{
+    // Header (name "t", 3 records), then one good record and a tag
+    // whose kind bits read 3.
+    std::string bytes = "CLT2";
+    bytes += std::string("\x01\x00\x00\x00", 4);
+    bytes += "t";
+    const std::uint64_t count = 3;
+    bytes.append(reinterpret_cast<const char *>(&count), sizeof(count));
+    bytes += std::string("\x00\x02\x03\x00\x00\x00", 6);
+    const std::string path = writeTempFile("bad_record.ctr", bytes);
+    EXPECT_DEATH({ openTraceSource(path)->materialize(); },
+                 "compressed trace '.*bad_record.ctr' record 2: "
+                 "bad access kind 3");
+    std::stringstream ss(bytes);
+    EXPECT_DEATH({ readTrace(ss, TraceFormat::Compressed, {}); },
+                 "compressed trace 't' record 2: bad access kind 3");
+}
+
 TEST(TraceIo, RejectsMissingFile)
 {
     EXPECT_DEATH({ openTraceSource("/nonexistent/path/trace.din"); },

@@ -622,6 +622,71 @@ TEST(StreamingSampled, SampledSweepsBitwise)
                                       want_split[i].icache.estimated));
 }
 
+/** Counts the nextBatch() pulls a consumer makes of an inner source. */
+class CountPulls : public TraceSource
+{
+  public:
+    explicit CountPulls(TraceSource &inner) : inner_(inner) {}
+
+    const std::string &name() const override { return inner_.name(); }
+    std::size_t
+    nextBatch(std::span<MemoryRef> out) override
+    {
+        ++pulls;
+        return inner_.nextBatch(out);
+    }
+    void reset() override { inner_.reset(); }
+    std::uint64_t knownLength() const override
+    {
+        return inner_.knownLength();
+    }
+
+    std::uint64_t pulls = 0;
+
+  private:
+    TraceSource &inner_;
+};
+
+std::uint64_t
+sourcePhaseCalls()
+{
+    for (const obs::PhaseProfile &p : obs::profileReport())
+        if (p.phase == "source")
+            return p.calls;
+    return 0;
+}
+
+TEST(StreamingSampled, ProfiledSampledSweepReportsSourcePhase)
+{
+    // The streamed sampled sweeps time each nextBatch() of their
+    // measured pass as a "source" phase, like the plain drivers.
+    const TraceProfile *profile = findTraceProfile("ZGREP");
+    ASSERT_NE(profile, nullptr);
+    const CacheConfig base = table1Config(256);
+    const std::vector<std::uint64_t> sizes = {256, 1024};
+    const SampleConfig sample = tenPercentPlan(WarmingPolicy::Functional);
+    RunConfig run;
+    run.batchRefs = 4099;
+
+    obs::resetProfiles();
+    obs::setProfilingEnabled(true);
+    const auto source = streamTraceExactly(*profile, 20000);
+    // The unified sweep stops pulling once every plan is done.
+    CountPulls counted(*source);
+    sweepUnifiedSampled(counted, sizes, base, sample, run);
+    const std::uint64_t unified = sourcePhaseCalls();
+    EXPECT_GT(unified, 0u);
+    EXPECT_EQ(unified, counted.pulls);
+    // The split sweep's measured pass drains the stream: ceil(20000 /
+    // 4099) = 5 batches plus the empty end-of-stream call.  Its
+    // counting pass is not timed.
+    source->reset();
+    sweepSplitSampled(*source, sizes, base, sample, run);
+    obs::setProfilingEnabled(false);
+    EXPECT_EQ(sourcePhaseCalls() - unified, 6u);
+    obs::resetProfiles();
+}
+
 // ---------------------------------------------------------------------
 // The warm-up rule
 // ---------------------------------------------------------------------

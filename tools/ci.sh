@@ -115,6 +115,36 @@ for line in 16 4; do
 done
 echo "    single pass matches per-size at every size"
 
+echo "==> trace codec smoke (din / CLT2 / CLT1 replay parity, din diagnostic)"
+# One workload written in every format must replay to the same sweep;
+# only the title and its underline may differ, as they hold the trace
+# name (din files are named after the path, packed files carry the
+# workload's name).  MVS1 caps --refs at its profile length (500 000).
+gen=build-ci/tools/cachelab_gen
+for ext in din ctr clt; do
+    ${gen} --profile MVS1 --refs 2000000 --out "build-ci/smoke-codec.${ext}" \
+        > /dev/null
+    ${sim} --trace "build-ci/smoke-codec.${ext}" --sweep 1024:65536 \
+        2> /dev/null | sed 1,2d > "build-ci/smoke-codec-${ext}.txt"
+done
+cmp build-ci/smoke-codec-din.txt build-ci/smoke-codec-ctr.txt
+cmp build-ci/smoke-codec-din.txt build-ci/smoke-codec-clt.txt
+# A malformed third line exits 1 with one line naming file and line.
+printf '# refs: 3\n0 1000 4\n0 zz 4\n0 2000 4\n' \
+    > build-ci/smoke-codec-bad.din
+if ${sim} --trace build-ci/smoke-codec-bad.din --size 1024 \
+    > /dev/null 2> build-ci/smoke-codec-bad.log; then
+    echo "malformed din trace was accepted" >&2
+    exit 1
+else
+    status=$?
+fi
+test "${status}" -eq 1
+test "$(wc -l < build-ci/smoke-codec-bad.log)" -eq 1
+grep -q "din trace 'build-ci/smoke-codec-bad.din' line 3: bad address 'zz'" \
+    build-ci/smoke-codec-bad.log
+echo "    din, CLT2 and CLT1 sweeps identical; bad din line named"
+
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
