@@ -19,7 +19,9 @@
 #include <cstdint>
 
 #include "arch/profile.hh"
-#include "trace/trace.hh"
+#include "trace/memory_ref.hh"
+#include "util/bits.hh"
+#include "util/logging.hh"
 
 namespace cachelab
 {
@@ -29,24 +31,64 @@ namespace cachelab
  * MemoryInterface description.  Stateful: tracks the granule most
  * recently delivered for instructions and for data so an interface
  * with memory can skip redundant fetches.
+ *
+ * Each expansion hands its references, in order, to an @p emit
+ * callable taking a MemoryRef, so the generator writes them straight
+ * into its output and sees each one as it is made.  Inline: it runs
+ * once or twice per generated reference.
  */
 class InterfaceModel
 {
   public:
-    explicit InterfaceModel(const MemoryInterface &interface);
+    explicit InterfaceModel(const MemoryInterface &interface)
+        : interface_(interface)
+    {
+        CACHELAB_ASSERT(isPowerOfTwo(interface_.instrGranuleBytes),
+                        "instruction granule must be a power of two");
+        CACHELAB_ASSERT(isPowerOfTwo(interface_.dataGranuleBytes),
+                        "data granule must be a power of two");
+    }
 
     /**
      * Record the fetch of one instruction of @p length bytes at
-     * @p addr, appending the resulting ifetch references to @p out.
+     * @p addr, emitting the resulting ifetch references.
      */
-    void fetchInstruction(Addr addr, std::uint32_t length, Trace &out);
+    template <typename Emit>
+    void
+    fetchInstruction(Addr addr, std::uint32_t length, Emit &&emit)
+    {
+        CACHELAB_ASSERT(length > 0, "zero-length instruction");
+        const std::uint32_t granule = interface_.instrGranuleBytes;
+        const Addr first = alignDown(addr, granule);
+        const Addr last = alignDown(addr + length - 1, granule);
+        for (Addr g = first; g <= last; g += granule) {
+            if (interface_.hasMemory && haveInstrGranule_ &&
+                g == lastInstrGranule_) {
+                continue; // the interface already holds these bytes
+            }
+            emit(MemoryRef{g, granule, AccessKind::IFetch});
+            haveInstrGranule_ = true;
+            lastInstrGranule_ = g;
+        }
+    }
 
     /** Record a data access of @p width bytes at @p addr. */
-    void dataAccess(Addr addr, std::uint32_t width, AccessKind kind,
-                    Trace &out);
+    template <typename Emit>
+    void
+    dataAccess(Addr addr, std::uint32_t width, AccessKind kind, Emit &&emit)
+    {
+        CACHELAB_ASSERT(kind != AccessKind::IFetch,
+                        "dataAccess cannot carry an ifetch");
+        CACHELAB_ASSERT(width > 0, "zero-width data access");
+        const std::uint32_t granule = interface_.dataGranuleBytes;
+        const Addr first = alignDown(addr, granule);
+        const Addr last = alignDown(addr + width - 1, granule);
+        for (Addr g = first; g <= last; g += granule)
+            emit(MemoryRef{g, granule, kind});
+    }
 
     /** Forget any remembered granules (e.g. across a branch). */
-    void reset();
+    void reset() { haveInstrGranule_ = false; }
 
   private:
     MemoryInterface interface_;

@@ -27,12 +27,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -49,73 +43,6 @@ Rng::setState(const std::array<std::uint64_t, 4> &state)
                         state[3] != 0,
                     "all-zero xoshiro256** state is a fixed point");
     state_ = state;
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
-{
-    CACHELAB_ASSERT(bound != 0, "uniformInt bound must be nonzero");
-    // Debiased multiply-shift (Lemire).
-    while (true) {
-        const std::uint64_t x = (*this)();
-        const __uint128_t m = static_cast<__uint128_t>(x) * bound;
-        const std::uint64_t low = static_cast<std::uint64_t>(m);
-        if (low >= bound || low >= (-bound) % bound)
-            return static_cast<std::uint64_t>(m >> 64);
-    }
-}
-
-std::uint64_t
-Rng::uniformRange(std::uint64_t lo, std::uint64_t hi)
-{
-    CACHELAB_ASSERT(lo <= hi, "uniformRange requires lo <= hi");
-    return lo + uniformInt(hi - lo + 1);
-}
-
-double
-Rng::uniformReal()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
-}
-
-std::uint64_t
-Rng::geometric(double mean)
-{
-    if (mean <= 0.0)
-        return 0;
-    // P(success) each step = mean / (mean + 1) gives E[count] = mean.
-    const double p_stop = 1.0 / (mean + 1.0);
-    const double u = uniformReal();
-    // Inverse-CDF sampling avoids looping for large means.
-    const double count = std::log(1.0 - u) / std::log(1.0 - p_stop);
-    return static_cast<std::uint64_t>(count);
 }
 
 std::uint64_t
@@ -143,6 +70,7 @@ Rng::split()
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
 {
     CACHELAB_ASSERT(n != 0, "ZipfSampler needs a nonempty domain");
+    CACHELAB_ASSERT(n <= UINT32_MAX, "ZipfSampler domain too large");
     cdf_.resize(n);
     double acc = 0.0;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -151,14 +79,18 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     }
     for (auto &v : cdf_)
         v /= acc;
-}
 
-std::uint64_t
-ZipfSampler::operator()(Rng &rng) const
-{
-    const double u = rng.uniformReal();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    // 2^k >= n buckets (the KV model's 32 K keys get 2^15); a larger
+    // domain stops at 2^16 and searches a few more entries per bucket.
+    const int k = std::min(static_cast<int>(std::bit_width(n - 1)), 16);
+    const std::size_t buckets = std::size_t{1} << k;
+    bucketScale_ = static_cast<double>(buckets);
+    guide_.resize(buckets + 1);
+    for (std::size_t b = 0; b <= buckets; ++b) {
+        const double edge = static_cast<double>(b) / bucketScale_;
+        guide_[b] = static_cast<std::uint32_t>(
+            std::lower_bound(cdf_.begin(), cdf_.end(), edge) - cdf_.begin());
+    }
 }
 
 } // namespace cachelab

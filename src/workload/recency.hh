@@ -20,7 +20,9 @@
 #ifndef CACHELAB_WORKLOAD_RECENCY_HH
 #define CACHELAB_WORKLOAD_RECENCY_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/random.hh"
@@ -73,9 +75,12 @@ class RecencyPool
     Site &
     insert(Site site)
     {
-        if (sites_.size() == capacity_)
-            sites_.pop_back();
-        sites_.insert(sites_.begin(), std::move(site));
+        // Shift every site one rank down; when full, the least recent
+        // one falls off the end.
+        if (sites_.size() < capacity_)
+            sites_.emplace_back();
+        std::move_backward(sites_.begin(), sites_.end() - 1, sites_.end());
+        sites_.front() = std::move(site);
         return sites_.front();
     }
 
@@ -85,15 +90,20 @@ class RecencyPool
     /** @return the most recently used site; pool must be nonempty. */
     Site &mostRecent() { return sites_.front(); }
 
+    /** @return the sites, most recent first. */
+    std::span<const Site> sites() const { return sites_; }
+
   private:
     void
     promote(std::size_t rank)
     {
         if (rank == 0)
             return;
-        Site site = std::move(sites_[rank]);
-        sites_.erase(sites_.begin() + static_cast<std::ptrdiff_t>(rank));
-        sites_.insert(sites_.begin(), std::move(site));
+        // One shift of ranks [0, rank) down by one.
+        const auto at = sites_.begin() + static_cast<std::ptrdiff_t>(rank);
+        Site site = std::move(*at);
+        std::move_backward(sites_.begin(), at, at + 1);
+        sites_.front() = std::move(site);
     }
 
     std::size_t capacity_;

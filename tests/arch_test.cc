@@ -7,11 +7,19 @@
 
 #include "arch/interface_model.hh"
 #include "arch/profile.hh"
+#include "trace/trace.hh"
 
 namespace cachelab
 {
 namespace
 {
+
+/** @return an InterfaceModel emit callable appending to @p trace. */
+auto
+into(Trace &trace)
+{
+    return [&trace](const MemoryRef &ref) { trace.append(ref); };
+}
 
 TEST(ArchProfile, AllMachinesHaveProfiles)
 {
@@ -91,7 +99,7 @@ TEST(InterfaceModel, SingleGranuleFetch)
 {
     InterfaceModel model({4, 4, false});
     Trace out;
-    model.fetchInstruction(0x100, 4, out);
+    model.fetchInstruction(0x100, 4, into(out));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].addr, 0x100u);
     EXPECT_EQ(out[0].size, 4u);
@@ -102,7 +110,7 @@ TEST(InterfaceModel, StraddlingInstructionFetchesTwoGranules)
 {
     InterfaceModel model({4, 4, false});
     Trace out;
-    model.fetchInstruction(0x102, 4, out); // bytes 0x102..0x105
+    model.fetchInstruction(0x102, 4, into(out)); // bytes 0x102..0x105
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].addr, 0x100u);
     EXPECT_EQ(out[1].addr, 0x104u);
@@ -118,8 +126,8 @@ TEST(InterfaceModel, WidthChangesReferenceCount)
              {2, 4}, {4, 2}, {8, 1}}) {
         InterfaceModel model({granule, granule, true});
         Trace out;
-        model.fetchInstruction(0x100, 4, out);
-        model.fetchInstruction(0x104, 4, out);
+        model.fetchInstruction(0x100, 4, into(out));
+        model.fetchInstruction(0x104, 4, into(out));
         EXPECT_EQ(out.size(), expected) << "granule " << granule;
     }
 }
@@ -128,14 +136,14 @@ TEST(InterfaceModel, MemorySuppressesRefetchOfHeldGranule)
 {
     InterfaceModel with_mem({8, 8, true});
     Trace out;
-    with_mem.fetchInstruction(0x100, 4, out);
-    with_mem.fetchInstruction(0x104, 4, out); // same 8-byte granule
+    with_mem.fetchInstruction(0x100, 4, into(out));
+    with_mem.fetchInstruction(0x104, 4, into(out)); // same 8-byte granule
     EXPECT_EQ(out.size(), 1u);
 
     InterfaceModel no_mem({8, 8, false});
     Trace out2;
-    no_mem.fetchInstruction(0x100, 4, out2);
-    no_mem.fetchInstruction(0x104, 4, out2); // refetched
+    no_mem.fetchInstruction(0x100, 4, into(out2));
+    no_mem.fetchInstruction(0x104, 4, into(out2)); // refetched
     EXPECT_EQ(out2.size(), 2u);
 }
 
@@ -143,9 +151,9 @@ TEST(InterfaceModel, ResetForgetsHeldGranule)
 {
     InterfaceModel model({8, 8, true});
     Trace out;
-    model.fetchInstruction(0x100, 4, out);
+    model.fetchInstruction(0x100, 4, into(out));
     model.reset(); // e.g. across a taken branch
-    model.fetchInstruction(0x104, 4, out);
+    model.fetchInstruction(0x104, 4, into(out));
     EXPECT_EQ(out.size(), 2u);
 }
 
@@ -153,7 +161,7 @@ TEST(InterfaceModel, DataAccessSplitsAcrossGranules)
 {
     InterfaceModel model({4, 4, false});
     Trace out;
-    model.dataAccess(0x1002, 4, AccessKind::Write, out);
+    model.dataAccess(0x1002, 4, AccessKind::Write, into(out));
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].kind, AccessKind::Write);
     EXPECT_EQ(out[0].addr, 0x1000u);
@@ -164,7 +172,7 @@ TEST(InterfaceModel, DataGranuleIndependentOfInstrGranule)
 {
     InterfaceModel model({2, 8, false});
     Trace out;
-    model.dataAccess(0x1000, 8, AccessKind::Read, out);
+    model.dataAccess(0x1000, 8, AccessKind::Read, into(out));
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].size, 8u);
 }

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
+#include "arch/profile.hh"
 #include "util/bits.hh"
 #include "util/csv.hh"
 #include "util/format.hh"
@@ -130,6 +134,118 @@ TEST(Rng, GeometricZeroMean)
     Rng rng(1);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.geometric(0.0), 0u);
+}
+
+/** The geometric draw as Rng::geometric() once computed it per call. */
+std::uint64_t
+literalGeometric(Rng &rng, double mean)
+{
+    if (mean <= 0.0)
+        return 0;
+    const double p_stop = 1.0 / (mean + 1.0);
+    const double u = rng.uniformReal();
+    const double count = std::log(1.0 - u) / std::log(1.0 - p_stop);
+    return static_cast<std::uint64_t>(count);
+}
+
+/** Means the generators use, plus the extremes. */
+std::vector<double>
+geometricMeans()
+{
+    std::vector<double> means = {0.0, 1e-9, 0.5, 10.0, 12.0, 768.0, 1e9};
+    for (Machine m : allMachines()) {
+        const ArchProfile &a = archProfile(m);
+        means.push_back(std::max(a.meanInstrBytes - a.minInstrBytes, 0.0));
+    }
+    return means;
+}
+
+TEST(GeometricSampler, MatchesLiteralFormulaDrawForDraw)
+{
+    for (double mean : geometricMeans()) {
+        const GeometricSampler sampler(mean);
+        Rng a(77), b(77), c(77);
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t want = literalGeometric(a, mean);
+            ASSERT_EQ(sampler(b), want) << "mean " << mean << " draw " << i;
+            ASSERT_EQ(c.geometric(mean), want) << "mean " << mean;
+        }
+        EXPECT_EQ(a.state(), b.state()) << "mean " << mean;
+        EXPECT_EQ(a.state(), c.state()) << "mean " << mean;
+    }
+}
+
+TEST(GeometricSampler, MeanChangedBetweenDrawsMatchesLiteralFormula)
+{
+    const std::vector<double> means = geometricMeans();
+    GeometricSampler sampler;
+    Rng a(5), b(5), pick(6);
+    for (int i = 0; i < 20000; ++i) {
+        const double mean = means[pick.uniformInt(means.size())];
+        sampler.setMean(mean);
+        EXPECT_EQ(sampler.mean(), mean);
+        ASSERT_EQ(sampler(b), literalGeometric(a, mean))
+            << "mean " << mean << " draw " << i;
+    }
+    EXPECT_EQ(a.state(), b.state());
+}
+
+/** The CDF ZipfSampler builds, computed the same way. */
+std::vector<double>
+literalZipfCdf(std::uint64_t n, double theta)
+{
+    std::vector<double> cdf(n);
+    double acc = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        acc += std::pow(static_cast<double>(i + 1), -theta);
+        cdf[i] = acc;
+    }
+    for (auto &v : cdf)
+        v /= acc;
+    return cdf;
+}
+
+TEST(ZipfSampler, GuidedSearchMatchesPlainLowerBound)
+{
+    for (std::uint64_t n : {1u, 2u, 48u, 192u, 256u, 32768u}) {
+        for (double theta : {0.0, 0.45, 0.9, 1.0}) {
+            const ZipfSampler sampler(n, theta);
+            const std::vector<double> cdf = literalZipfCdf(n, theta);
+            auto check = [&](double u) {
+                if (u < 0.0 || u >= 1.0)
+                    return;
+                const auto want = static_cast<std::uint64_t>(
+                    std::lower_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+                ASSERT_EQ(sampler.indexOf(u), want)
+                    << "n " << n << " theta " << theta << " u " << u;
+            };
+            // Every bucket edge b / 2^k for any table of up to 2^16
+            // buckets, and one ulp either side of it.
+            for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+                const double edge = std::ldexp(static_cast<double>(b), -16);
+                check(edge);
+                check(std::nextafter(edge, 0.0));
+                check(std::nextafter(edge, 1.0));
+            }
+            // Every CDF value and one ulp either side of it.
+            for (double c : cdf) {
+                check(c);
+                check(std::nextafter(c, 0.0));
+                check(std::nextafter(c, 1.0));
+            }
+            // Seeded draws: same index and same stream as the plain
+            // search over a second generator.
+            Rng a(n), b(n);
+            for (int i = 0; i < 2000; ++i) {
+                const auto want = static_cast<std::uint64_t>(
+                    std::lower_bound(cdf.begin(), cdf.end(),
+                                     a.uniformReal()) -
+                    cdf.begin());
+                ASSERT_EQ(sampler(b), want) << "n " << n;
+            }
+        }
+    }
 }
 
 TEST(Rng, ZipfFavorsLowIndices)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "trace/analyzer.hh"
 #include "workload/program_model.hh"
@@ -116,6 +119,48 @@ TEST(RecencyPool, RankBeyondOccupancyMeansNewSite)
         nulls += pool.sample(rng, 0.0) == nullptr;
     // Only ~1/64 of rank samples land on the single occupied slot.
     EXPECT_GT(nulls, 900);
+}
+
+TEST(RecencyPool, OrderMatchesReferenceListUnderPromoteAndInsert)
+{
+    // Reference: the MRU list kept by erase + insert at the front, fed
+    // the same ranks from a second generator and sampler.
+    for (std::size_t capacity : {1u, 3u, 48u, 256u}) {
+        RecencyPool<int> pool(capacity, 0.9);
+        ZipfSampler ranks(capacity, 0.9);
+        std::vector<int> want;
+        Rng rng(capacity), ref_rng(capacity), ops(99);
+        int next_site = 0;
+        for (int i = 0; i < 20000; ++i) {
+            if (ops.bernoulli(0.3)) {
+                pool.insert(next_site);
+                if (want.size() == capacity)
+                    want.pop_back();
+                want.insert(want.begin(), next_site);
+                ++next_site;
+            } else {
+                const int *site = pool.sample(rng, 0.05);
+                int *expected = nullptr;
+                if (!want.empty() && !ref_rng.bernoulli(0.05)) {
+                    const std::uint64_t rank = ranks(ref_rng);
+                    if (rank < want.size()) {
+                        const int v = want[rank];
+                        want.erase(want.begin() +
+                                   static_cast<std::ptrdiff_t>(rank));
+                        want.insert(want.begin(), v);
+                        expected = &want.front();
+                    }
+                }
+                ASSERT_EQ(site == nullptr, expected == nullptr) << i;
+                if (site != nullptr) {
+                    ASSERT_EQ(*site, *expected) << i;
+                }
+            }
+            ASSERT_TRUE(std::ranges::equal(pool.sites(), want))
+                << "capacity " << capacity << " op " << i;
+        }
+        EXPECT_EQ(rng.state(), ref_rng.state());
+    }
 }
 
 TEST(WorkloadParams, ValidateRejectsBadFractions)
