@@ -46,6 +46,21 @@ namespace cachelab
 namespace
 {
 
+/**
+ * Drain @p source through @p fn in batches of @p batch_refs, pulling
+ * each batch through the timed detail::nextSourceBatch so a whole
+ * counting pass shows in the `source` phase.
+ */
+template <typename Fn>
+void
+forEachSourceBatch(TraceSource &source, std::size_t batch_refs, Fn &&fn)
+{
+    std::vector<MemoryRef> buffer(batch_refs);
+    std::size_t got;
+    while ((got = detail::nextSourceBatch(source, buffer)) != 0)
+        fn(std::span<const MemoryRef>(buffer.data(), got));
+}
+
 /** Per-interval metric accumulators (full-length intervals only). */
 struct IntervalSummaries
 {
@@ -497,7 +512,8 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
     // Counting pass: the per-side sampling plans need each side's
     // stream length, which only a full decode can reveal.
     std::uint64_t ilen = 0, dlen = 0;
-    source.forEachBatch(
+    forEachSourceBatch(
+        source, run.resolvedBatchRefs(),
         [&](std::span<const MemoryRef> batch) {
             for (const MemoryRef &ref : batch) {
                 if (ref.kind == AccessKind::IFetch)
@@ -505,8 +521,7 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
                 else if (isData(ref.kind))
                     ++dlen;
             }
-        },
-        run.resolvedBatchRefs());
+        });
     source.reset();
 
     std::vector<std::unique_ptr<Cache>> icaches, dcaches;
@@ -654,7 +669,8 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
                     "sampled split sweep: purge schedule is defined on the "
                     "combined stream; run unsampled or purge-free");
     std::uint64_t ilen = 0, dlen = 0;
-    source.forEachBatch(
+    forEachSourceBatch(
+        source, run.resolvedBatchRefs(),
         [&](std::span<const MemoryRef> batch) {
             for (const MemoryRef &ref : batch) {
                 if (ref.kind == AccessKind::IFetch)
@@ -662,8 +678,7 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
                 else
                     ++dlen;
             }
-        },
-        run.resolvedBatchRefs());
+        });
     source.reset();
     const std::uint64_t length = ilen + dlen;
     store.checkCompatible(ckpt::splitLivePointKey(source.name(), length,

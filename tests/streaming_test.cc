@@ -659,7 +659,8 @@ sourcePhaseCalls()
 TEST(StreamingSampled, ProfiledSampledSweepReportsSourcePhase)
 {
     // The streamed sampled sweeps time each nextBatch() of their
-    // measured pass as a "source" phase, like the plain drivers.
+    // counting and measured passes as a "source" phase, like the plain
+    // drivers.
     const TraceProfile *profile = findTraceProfile("ZGREP");
     ASSERT_NE(profile, nullptr);
     const CacheConfig base = table1Config(256);
@@ -677,13 +678,13 @@ TEST(StreamingSampled, ProfiledSampledSweepReportsSourcePhase)
     const std::uint64_t unified = sourcePhaseCalls();
     EXPECT_GT(unified, 0u);
     EXPECT_EQ(unified, counted.pulls);
-    // The split sweep's measured pass drains the stream: ceil(20000 /
-    // 4099) = 5 batches plus the empty end-of-stream call.  Its
-    // counting pass is not timed.
+    // The split sweep drains the stream twice, once to count each
+    // side and once measured: each pass is ceil(20000 / 4099) = 5
+    // batches plus the empty end-of-stream call, all timed.
     source->reset();
     sweepSplitSampled(*source, sizes, base, sample, run);
     obs::setProfilingEnabled(false);
-    EXPECT_EQ(sourcePhaseCalls() - unified, 6u);
+    EXPECT_EQ(sourcePhaseCalls() - unified, 12u);
     obs::resetProfiles();
 }
 
