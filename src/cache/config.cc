@@ -88,15 +88,31 @@ CacheConfig::validate() const
 std::string
 CacheConfig::describe() const
 {
-    std::string assoc = associativity == 0
-        ? "full"
-        : std::to_string(associativity) + "-way";
-    std::string policy = replacement.display();
-    if (!admission.empty())
-        policy += "+" + admission.toString();
-    return formatSize(sizeBytes) + "/" + formatSize(lineBytes) + "B/" +
-        assoc + "/" + policy + "/" + toString(writePolicy) + "/" +
-        toString(fetchPolicy);
+    // Appended into one reserved string: GCC 12's -Wrestrict misfires
+    // on a long inlined chain of std::string operator+ at -O3.
+    std::string out;
+    out.reserve(64);
+    out += formatSize(sizeBytes);
+    out += '/';
+    out += formatSize(lineBytes);
+    out += "B/";
+    if (associativity == 0) {
+        out += "full";
+    } else {
+        out += std::to_string(associativity);
+        out += "-way";
+    }
+    out += '/';
+    out += replacement.display();
+    if (!admission.empty()) {
+        out += '+';
+        out += admission.toString();
+    }
+    out += '/';
+    out += toString(writePolicy);
+    out += '/';
+    out += toString(fetchPolicy);
+    return out;
 }
 
 } // namespace cachelab

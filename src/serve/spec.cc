@@ -24,6 +24,21 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** @return the diagnostic `"<key>" must be <what>`. */
+std::string
+memberError(std::string_view key, std::string_view what)
+{
+    // Appended into one reserved string: GCC 12's -Wrestrict misfires
+    // on the inlined chain of std::string operator+ at -O3.
+    std::string out;
+    out.reserve(key.size() + what.size() + 3);
+    out += '"';
+    out += key;
+    out += "\" ";
+    out += what;
+    return out;
+}
+
 /** Fetch an optional non-negative integer member into @p out. */
 std::optional<std::string>
 readUint(const JsonValue &obj, std::string_view key, std::uint64_t &out)
@@ -32,8 +47,7 @@ readUint(const JsonValue &obj, std::string_view key, std::uint64_t &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isUint())
-        return std::string("\"") + std::string(key) +
-               "\" must be a non-negative integer";
+        return memberError(key, "must be a non-negative integer");
     out = v->asUint();
     return std::nullopt;
 }
@@ -46,7 +60,7 @@ readDouble(const JsonValue &obj, std::string_view key, double &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isNumber())
-        return std::string("\"") + std::string(key) + "\" must be a number";
+        return memberError(key, "must be a number");
     out = v->asDouble();
     return std::nullopt;
 }
@@ -59,7 +73,7 @@ readString(const JsonValue &obj, std::string_view key, std::string &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isString())
-        return std::string("\"") + std::string(key) + "\" must be a string";
+        return memberError(key, "must be a string");
     out = v->asString();
     return std::nullopt;
 }
@@ -98,9 +112,8 @@ parsePolicyMember(const JsonValue &doc, std::string_view key,
                             : parseReplacementPolicy(text, out);
     }
     if (!v->isObject())
-        return "\"" + std::string(key) +
-               "\" must be a policy string or a "
-               "{\"name\", \"params\"} object";
+        return memberError(key, "must be a policy string or a "
+                                "{\"name\", \"params\"} object");
     PolicySpec spec;
     spec.name.clear();
     if (auto err = readString(*v, "name", spec.name))
@@ -110,12 +123,14 @@ parsePolicyMember(const JsonValue &doc, std::string_view key,
         spec.name.clear();
     if (const JsonValue *params = v->find("params")) {
         if (!params->isObject())
-            return "\"" + std::string(key) +
-                   "\" \"params\" must be an object";
+            return memberError(key, "\"params\" must be an object");
         for (const auto &[pkey, pvalue] : params->members()) {
-            if (!pvalue.isNumber())
-                return "\"" + std::string(key) + "\" parameter \"" +
-                       pkey + "\" must be a number";
+            if (!pvalue.isNumber()) {
+                std::string what = "parameter \"";
+                what += pkey;
+                what += "\" must be a number";
+                return memberError(key, what);
+            }
             spec.params.emplace_back(lowerCopy(pkey),
                                      pvalue.asDouble());
         }

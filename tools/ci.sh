@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Local CI: configure, build, and test the default configuration and a
-# sanitized one.  Usage:
+# Local CI: configure, build, and test the default configuration and
+# sanitized ones, then build the library in Release.  Usage:
 #
 #   tools/ci.sh [jobs]
 #
-# Build trees go to build-ci/ and build-ci-asan/ so they never clash
-# with a developer's build/.  Exits non-zero on the first failure.
+# Build trees go to build-ci/, build-ci-asan/, build-ci-tsan/ and
+# build-ci-release/ so they never clash with a developer's build/.
+# Exits non-zero on the first failure.
 
 set -euo pipefail
 
@@ -533,4 +534,15 @@ cmake --build build-ci-tsan -j "${jobs}" \
 ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
     -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|LatencyHistogram|PerfCounters'
 
-echo "==> ci passed (default + address,undefined + thread)"
+# Release (-O3) build of the library with warnings as errors: some
+# warnings (GCC 12's -Wrestrict on inlined std::string code) only fire
+# at -O3, which the default build type never compiles.
+echo "==> configure build-ci-release (Release, warnings as errors, library)"
+cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCACHELAB_WERROR=ON
+cmake --build build-ci-release -j "${jobs}" \
+    --target repro_util repro_stats repro_trace repro_arch repro_workload \
+    repro_cache repro_sample repro_obs repro_ckpt repro_sim repro_analytic \
+    repro_serve
+
+echo "==> ci passed (default + address,undefined + thread + Release library)"
