@@ -60,29 +60,53 @@ CacheConfig::setCount() const
     return lineCount() / effectiveAssociativity();
 }
 
+namespace
+{
+
+/** "WHAT VALUE RULE LIMIT", appended rather than chained with
+ *  operator+ (see describe()). */
+std::string
+violation(std::string_view what, std::uint64_t value, std::string_view rule,
+          const std::string &limit = {})
+{
+    std::string out(what);
+    out += ' ';
+    out += std::to_string(value);
+    out += rule;
+    out += limit;
+    return out;
+}
+
+} // namespace
+
+std::optional<std::string>
+CacheConfig::check() const
+{
+    if (!isPowerOfTwo(sizeBytes))
+        return violation("cache size", sizeBytes, " is not a power of two");
+    if (!isPowerOfTwo(lineBytes))
+        return violation("line size", lineBytes, " is not a power of two");
+    if (lineBytes > sizeBytes)
+        return violation("line size", lineBytes, " exceeds cache size ",
+                         std::to_string(sizeBytes));
+    const std::uint64_t assoc = effectiveAssociativity();
+    if (!isPowerOfTwo(assoc))
+        return violation("associativity", assoc, " is not a power of two");
+    if (assoc > lineCount())
+        return violation("associativity", assoc, " exceeds line count ",
+                         std::to_string(lineCount()));
+    if (auto error = checkReplacementPolicy(replacement))
+        return error;
+    // Write-through with allocation (fetch-on-write) is a legal
+    // combination; nothing else about the policies is rejected.
+    return checkAdmissionPolicy(admission);
+}
+
 void
 CacheConfig::validate() const
 {
-    if (!isPowerOfTwo(sizeBytes))
-        fatal("cache size ", sizeBytes, " is not a power of two");
-    if (!isPowerOfTwo(lineBytes))
-        fatal("line size ", lineBytes, " is not a power of two");
-    if (lineBytes > sizeBytes)
-        fatal("line size ", lineBytes, " exceeds cache size ", sizeBytes);
-    const std::uint64_t assoc = effectiveAssociativity();
-    if (!isPowerOfTwo(assoc))
-        fatal("associativity ", assoc, " is not a power of two");
-    if (assoc > lineCount())
-        fatal("associativity ", assoc, " exceeds line count ", lineCount());
-    if (auto error = checkReplacementPolicy(replacement))
+    if (auto error = check())
         fatal(*error);
-    if (auto error = checkAdmissionPolicy(admission))
-        fatal(*error);
-    if (writePolicy == WritePolicy::WriteThrough &&
-        writeMiss == WriteMissPolicy::FetchOnWrite) {
-        // Legal combination (write-through with allocation); nothing to
-        // reject — documented here so readers know it is intentional.
-    }
 }
 
 std::string

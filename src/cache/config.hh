@@ -12,6 +12,7 @@
 #define CACHELAB_CACHE_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cache/policy.hh"
@@ -94,7 +95,14 @@ struct CacheConfig
     /** @return number of sets. */
     std::uint64_t setCount() const;
 
-    /** fatal() if any parameter combination is invalid. */
+    /**
+     * @return a one-line diagnostic naming the first invalid parameter
+     * combination, or std::nullopt when the config is valid.  Never
+     * fatal()s, so untrusted input (experiment specs) can be checked.
+     */
+    std::optional<std::string> check() const;
+
+    /** fatal() with check()'s diagnostic if the config is invalid. */
     void validate() const;
 
     /**

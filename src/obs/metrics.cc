@@ -6,130 +6,12 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/json_writer.hh"
 #include "util/thread_pool.hh"
 
 namespace cachelab::obs
 {
-
-namespace
-{
-
-/** Bucket of @p ns under the Log2Histogram convention. */
-std::size_t
-latencyBucket(std::uint64_t ns)
-{
-    return static_cast<std::size_t>(std::bit_width(ns));
-}
-
-/** Lower edge (inclusive) of bucket @p k. */
-std::uint64_t
-bucketLow(std::size_t k)
-{
-    return k == 0 ? 0 : std::uint64_t{1} << (k - 1);
-}
-
-/** Upper edge (exclusive) of bucket @p k; == low for the {0} bucket. */
-std::uint64_t
-bucketHigh(std::size_t k)
-{
-    if (k == 0)
-        return 0;
-    if (k >= 64)
-        return ~std::uint64_t{0};
-    return std::uint64_t{1} << k;
-}
-
-} // namespace
-
-void
-LatencyHistogram::record(std::uint64_t ns)
-{
-    buckets_[latencyBucket(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sumNs_.fetch_add(ns, std::memory_order_relaxed);
-    std::uint64_t seen = maxNs_.load(std::memory_order_relaxed);
-    while (ns > seen &&
-           !maxNs_.compare_exchange_weak(seen, ns,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
-LatencyHistogram::Snapshot
-LatencyHistogram::snapshot() const
-{
-    Snapshot snap;
-    snap.count = count_.load(std::memory_order_relaxed);
-    snap.sumNs = sumNs_.load(std::memory_order_relaxed);
-    snap.maxNs = maxNs_.load(std::memory_order_relaxed);
-    for (std::size_t k = 0; k < kBuckets; ++k)
-        snap.buckets[k] = buckets_[k].load(std::memory_order_relaxed);
-    return snap;
-}
-
-void
-LatencyHistogram::reset()
-{
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sumNs_.store(0, std::memory_order_relaxed);
-    maxNs_.store(0, std::memory_order_relaxed);
-}
-
-double
-LatencyHistogram::Snapshot::meanNs() const
-{
-    return count == 0
-               ? 0.0
-               : static_cast<double>(sumNs) / static_cast<double>(count);
-}
-
-double
-LatencyHistogram::Snapshot::quantileNs(double q) const
-{
-    // Sum the buckets rather than trusting `count`: a concurrent
-    // record() may have bumped the total before its bucket, and the
-    // rank walk must stay inside what the buckets actually hold.
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : buckets)
-        total += b;
-    if (total == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // 1-based rank of the sample the quantile names.
-    const double rank = std::max(1.0, q * static_cast<double>(total));
-    std::uint64_t cumulative = 0;
-    for (std::size_t k = 0; k < buckets.size(); ++k) {
-        if (buckets[k] == 0)
-            continue;
-        const std::uint64_t before = cumulative;
-        cumulative += buckets[k];
-        if (static_cast<double>(cumulative) < rank)
-            continue;
-        const double lo = static_cast<double>(bucketLow(k));
-        const double hi = static_cast<double>(bucketHigh(k));
-        const double within = (rank - static_cast<double>(before)) /
-                              static_cast<double>(buckets[k]);
-        const double estimate = lo + within * (hi - lo);
-        // Never report past the observed maximum (the top bucket is a
-        // factor-of-two wide; max tightens it).
-        return maxNs > 0 ? std::min(estimate, static_cast<double>(maxNs))
-                         : estimate;
-    }
-    return static_cast<double>(maxNs);
-}
-
-std::size_t
-LatencyHistogram::Snapshot::usedBuckets() const
-{
-    std::size_t used = buckets.size();
-    while (used > 0 && buckets[used - 1] == 0)
-        --used;
-    return used;
-}
 
 std::uint64_t
 MetricsSnapshot::counterValue(std::string_view name) const
@@ -138,15 +20,6 @@ MetricsSnapshot::counterValue(std::string_view name) const
         if (key == name)
             return value;
     return 0;
-}
-
-const LatencyHistogram::Snapshot *
-MetricsSnapshot::latencyFor(std::string_view name) const
-{
-    for (const LatencySnapshot &entry : latencies)
-        if (entry.name == name)
-            return &entry.latency;
-    return nullptr;
 }
 
 void
@@ -173,25 +46,6 @@ MetricsSnapshot::writeJson(JsonWriter &w) const
         w.endObject();
     }
     w.endObject();
-    if (!latencies.empty()) {
-        w.key("latencies").beginObject();
-        for (const LatencySnapshot &entry : latencies) {
-            const LatencyHistogram::Snapshot &s = entry.latency;
-            w.key(entry.name).beginObject();
-            w.member("count", s.count);
-            w.member("mean_ns", s.meanNs());
-            w.member("max_ns", s.maxNs);
-            w.member("p50_ns", s.quantileNs(0.50));
-            w.member("p90_ns", s.quantileNs(0.90));
-            w.member("p99_ns", s.quantileNs(0.99));
-            w.key("log2_buckets").beginArray();
-            for (std::size_t k = 0; k < s.usedBuckets(); ++k)
-                w.value(s.buckets[k]);
-            w.endArray();
-            w.endObject();
-        }
-        w.endObject();
-    }
     w.endObject();
 }
 
@@ -252,16 +106,6 @@ Registry::histogram(std::string_view name, const std::vector<Label> &labels)
     return *slot;
 }
 
-LatencyHistogram &
-Registry::latency(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = latencies_[std::string(name)];
-    if (!slot)
-        slot = std::make_unique<LatencyHistogram>();
-    return *slot;
-}
-
 MetricsSnapshot
 Registry::snapshot() const
 {
@@ -276,9 +120,6 @@ Registry::snapshot() const
     snap.histograms.reserve(histograms_.size());
     for (const auto &[name, histogram] : histograms_)
         snap.histograms.push_back({name, histogram->snapshot()});
-    snap.latencies.reserve(latencies_.size());
-    for (const auto &[name, latency] : latencies_)
-        snap.latencies.push_back({name, latency->snapshot()});
     return snap;
 }
 
@@ -310,7 +151,6 @@ Registry::clear()
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
-    latencies_.clear();
 }
 
 void
@@ -323,8 +163,6 @@ Registry::resetForTesting()
         gauge->set(0.0);
     for (const auto &[name, histogram] : histograms_)
         histogram->reset();
-    for (const auto &[name, latency] : latencies_)
-        latency->reset();
 }
 
 } // namespace cachelab::obs

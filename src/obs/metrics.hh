@@ -32,7 +32,6 @@
 #ifndef CACHELAB_OBS_METRICS_HH
 #define CACHELAB_OBS_METRICS_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -123,63 +122,6 @@ class Histogram
     Log2Histogram histogram_;
 };
 
-/**
- * Lock-cheap latency distribution: log2-bucketed nanoseconds with
- * quantile snapshots.
- *
- * Unlike Histogram (mutex + Log2Histogram, meant for per-interval
- * bulk merges), record() is wait-free — one relaxed fetch_add into the
- * sample's bucket plus count/sum upkeep — so the campaign server can
- * stamp every request without a shared lock on the reply path.
- * Buckets follow the Log2Histogram convention: bucket k holds samples
- * in [2^(k-1), 2^k) with bucket 0 holding {0}.
- *
- * snapshot() reads every bucket atomically-per-cell; concurrent
- * record()s can make a snapshot lag, never tear.  Quantiles are
- * estimated by rank-walking the cumulative bucket counts with linear
- * interpolation inside the crossing bucket, which makes
- * p50 <= p90 <= p99 monotone by construction.
- */
-class LatencyHistogram
-{
-  public:
-    /** Buckets cover the whole uint64 ns range: ~584 years. */
-    static constexpr std::size_t kBuckets = 65;
-
-    /** Record one sample (wait-free, relaxed atomics). */
-    void record(std::uint64_t ns);
-
-    /** A point-in-time copy with derived statistics. */
-    struct Snapshot
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sumNs = 0;
-        std::uint64_t maxNs = 0;
-        std::array<std::uint64_t, kBuckets> buckets{};
-
-        double meanNs() const;
-
-        /** Estimated @p q quantile in ns, q in [0, 1]; 0 when empty. */
-        double quantileNs(double q) const;
-
-        /** @return index of the last non-empty bucket + 1 (0 = empty),
-         *  so writers can trim the long zero tail. */
-        std::size_t usedBuckets() const;
-    };
-
-    Snapshot snapshot() const;
-
-    /** Zero every cell (per-run scoping; concurrent-use caveat as
-     *  Registry::resetForTesting). */
-    void reset();
-
-  private:
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sumNs_{0};
-    std::atomic<std::uint64_t> maxNs_{0};
-};
-
 /** One label: name -> value, e.g. {"engine", "single_pass"}. */
 using Label = std::pair<std::string, std::string>;
 
@@ -190,35 +132,19 @@ struct HistogramSnapshot
     Log2Histogram histogram;
 };
 
-/** A point-in-time copy of one latency histogram for reporting. */
-struct LatencySnapshot
-{
-    std::string name;
-    LatencyHistogram::Snapshot latency;
-};
-
 /** Every registered metric's value at one snapshot() call. */
 struct MetricsSnapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<HistogramSnapshot> histograms;
-    std::vector<LatencySnapshot> latencies;
 
     /** @return the named counter's value, or 0 when absent. */
     std::uint64_t counterValue(std::string_view name) const;
 
-    /** @return the named latency snapshot, or nullptr when absent. */
-    const LatencyHistogram::Snapshot *
-    latencyFor(std::string_view name) const;
-
     /**
      * Emit as a JSON object: {"counters": {...}, "gauges": {...},
-     * "histograms": {...}} with keys in sorted order.  A "latencies"
-     * member (count/mean/max/p50/p90/p99 + trimmed log2 buckets per
-     * series) is appended only when at least one LatencyHistogram is
-     * registered, so documents from binaries that never touch the
-     * serve layer are byte-identical to the pre-telemetry schema.
+     * "histograms": {...}} with keys in sorted order.
      */
     void writeJson(JsonWriter &w) const;
 };
@@ -237,7 +163,6 @@ class Registry
     Gauge &gauge(std::string_view name);
     Histogram &histogram(std::string_view name,
                          const std::vector<Label> &labels = {});
-    LatencyHistogram &latency(std::string_view name);
 
     /** @return every metric's value, sorted by name. */
     MetricsSnapshot snapshot() const;
@@ -270,7 +195,6 @@ class Registry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    std::map<std::string, std::unique_ptr<LatencyHistogram>> latencies_;
 };
 
 /**

@@ -40,16 +40,6 @@ TraceRecorder::nowNs() const
             .count());
 }
 
-std::uint64_t
-TraceRecorder::nsAt(std::chrono::steady_clock::time_point at) const
-{
-    if (at < origin_)
-        return 0;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(at - origin_)
-            .count());
-}
-
 int
 TraceRecorder::lane()
 {

@@ -57,15 +57,6 @@ class TraceRecorder
     /** @return monotonic nanoseconds since recording was enabled. */
     std::uint64_t nowNs() const;
 
-    /**
-     * Map an externally captured steady_clock stamp onto the
-     * recorder's timeline (0 when @p at predates the origin).  Lets
-     * callers that already hold timestamps — request lifecycle spans —
-     * emit events without re-reading the clock.
-     */
-    std::uint64_t
-    nsAt(std::chrono::steady_clock::time_point at) const;
-
     /** Record one duration ("X") event on the current thread's lane. */
     void complete(std::string_view name, std::string_view category,
                   std::uint64_t begin_ns, std::uint64_t duration_ns,

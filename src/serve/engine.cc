@@ -20,25 +20,6 @@ namespace cachelab::serve
 namespace
 {
 
-/** One simulated point: a (spec, size) pair with its private state. */
-struct PassPoint
-{
-    std::unique_ptr<Cache> cache;
-    detail::DriveState state;
-    RunConfig run;
-    std::size_t specIndex;
-    std::uint64_t sizeBytes;
-
-    PassPoint(const CacheConfig &config, const RunConfig &run_config,
-              std::size_t spec, std::uint64_t size)
-        : cache(std::make_unique<Cache>(config)),
-          state(run_config),
-          run(run_config),
-          specIndex(spec),
-          sizeBytes(size)
-    {}
-};
-
 RunConfig
 runConfigFor(const ExperimentSpec &spec)
 {
@@ -61,41 +42,25 @@ runCoalesced(TraceSource &source, std::span<const ExperimentSpec> specs,
 
     const auto start = std::chrono::steady_clock::now();
 
-    // Flatten the union of every spec's size axis.  Each point owns
-    // its cache, carried driver state, and its spec's run schedule, so
-    // heterogeneous purge/warm-up settings coexist in one pass.
-    std::vector<PassPoint> points;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        const ExperimentSpec &spec = specs[s];
+    // Flatten the union of every spec's size axis, spec by spec.  Each
+    // point carries its spec's run schedule, so heterogeneous
+    // purge/warm-up settings coexist in one pass.
+    std::vector<detail::PassPoint<Cache>> points;
+    for (const ExperimentSpec &spec : specs) {
         const RunConfig run = runConfigFor(spec);
         for (std::uint64_t size : spec.sizes) {
             CacheConfig config = spec.base;
             config.sizeBytes = size;
             config.validate(); // specs are pre-validated; belt and braces
-            points.emplace_back(config, run, s, size);
+            points.emplace_back(std::make_unique<Cache>(config), run);
         }
     }
 
     RunConfig fan;
     fan.jobs = options.jobs;
     fan.batchRefs = options.batchRefs;
-    detail::BatchExecutor exec(fan);
-    detail::DriveObs ob;
-    const std::uint64_t known = source.knownLength();
-
-    std::vector<MemoryRef> buffer(fan.resolvedBatchRefs());
-    std::uint64_t total = 0;
-    while (const std::size_t got = source.nextBatch(buffer)) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(points.size(), [&](std::size_t i) {
-            PassPoint &point = points[i];
-            detail::driveSpan(batch, *point.cache, point.run, point.state,
-                              ob);
-        });
-        total += got;
-        if (options.progress)
-            options.progress(total, known);
-    }
+    const std::uint64_t total =
+        detail::drivePass<Cache>(source, points, fan);
 
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -103,15 +68,15 @@ runCoalesced(TraceSource &source, std::span<const ExperimentSpec> specs,
             .count();
 
     std::vector<ExperimentResult> results(specs.size());
-    for (ExperimentResult &result : results) {
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        ExperimentResult &result = results[s];
         result.refsProcessed = total;
         result.wallSeconds = wall;
         result.coalescedGroup = specs.size();
-    }
-    for (PassPoint &point : points) {
-        detail::driveFinish(point.state, point.run, ob);
-        results[point.specIndex].points.push_back(
-            SweepPoint{point.sizeBytes, point.cache->stats()});
+        for (std::uint64_t size : specs[s].sizes)
+            result.points.push_back(
+                SweepPoint{size, points[next++].system->stats()});
     }
     obs::Registry::global().counter("serve.engine.passes").add();
     obs::Registry::global()
@@ -137,10 +102,9 @@ runExperiment(const ExperimentSpec &spec, const EngineOptions &options)
 }
 
 obs::RunManifest
-buildExperimentManifest(
-    const ExperimentSpec &spec, const ExperimentResult &result,
-    const std::string &tool, const std::string &argv,
-    const std::vector<std::pair<std::string, std::string>> &extra_config)
+buildExperimentManifest(const ExperimentSpec &spec,
+                        const ExperimentResult &result,
+                        const std::string &tool, const std::string &argv)
 {
     obs::RunManifest manifest;
     manifest.tool = tool;
@@ -167,8 +131,6 @@ buildExperimentManifest(
         {"sizes", std::to_string(spec.sizes.size())},
         {"coalesced_group", std::to_string(result.coalescedGroup)},
     };
-    manifest.config.insert(manifest.config.end(), extra_config.begin(),
-                           extra_config.end());
 
     manifest.replacement = spec.base.replacement;
     manifest.admission = spec.base.admission;
@@ -185,8 +147,8 @@ buildExperimentManifest(
         manifest.results.push_back(std::move(entry));
     }
 
-    // The phase profile is process-lifetime state — meaningless as
-    // per-request provenance on a long-running server.
+    // The phase profile is process-lifetime state, shared by every
+    // spec of one invocation, so it is not per-spec provenance.
     manifest.includeProfile = false;
     return manifest;
 }

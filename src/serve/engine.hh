@@ -3,27 +3,24 @@
  * Coalesced experiment engine: N compatible experiment specs, one
  * trace pass.
  *
- * The campaign server's economics rest on one observation: the sweep
- * hot loop (sim/drive.hh driveSpan) is chunk-synchronous, and every
- * simulated point carries its *own* cache and DriveState.  So points
- * belonging to different tenants can share a pass exactly the way one
- * tenant's size axis already does — each batch read from the input
- * fans out over the union of all requests' (config x size) points.
- * N tenants sweeping the same input cost ~one trace decode instead of
- * N, and each point's access/purge/resetStats sequence is identical
- * to a standalone run, so the statistics are bitwise identical to
- * running each request alone (requests may even differ in purge
- * interval and warm-up: that state is per-point too).
+ * Every simulated point carries its *own* cache, run schedule and
+ * DriveState, so points belonging to different specs share a pass
+ * exactly the way one sweep's size axis does: detail::drivePass()
+ * (sim/drive.hh) fans each batch read from the input out over the
+ * union of all specs' (config x size) points.  N specs over the same
+ * input cost ~one trace decode instead of N, and each point's
+ * access/purge/resetStats sequence is identical to a standalone run,
+ * so the statistics are bitwise identical to running each spec alone
+ * (specs may even differ in purge interval and warm-up).
  *
- * The same entry points back `cachelab_sim --spec`, so a tenant can
- * re-run any server answer standalone and diff the manifests.
+ * `cachelab_sim --spec a.json --spec b.json` groups its specs by
+ * batchKey() and runs each group through runCoalesced().
  */
 
 #ifndef CACHELAB_SERVE_ENGINE_HH
 #define CACHELAB_SERVE_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,12 +51,6 @@ struct EngineOptions
 
     /** Streaming batch size; 0 = kDefaultBatchRefs. */
     std::size_t batchRefs = 0;
-
-    /**
-     * Progress callback, invoked from the driving thread after each
-     * batch: (refs driven so far, known total or 0).  Keep it cheap.
-     */
-    std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 
 /**
@@ -81,16 +72,11 @@ std::vector<ExperimentResult> runCoalesced(
 ExperimentResult runExperiment(const ExperimentSpec &spec,
                                const EngineOptions &options = {});
 
-/**
- * Assemble the schema-versioned run manifest for one completed spec.
- * @p extra_config is appended to the config section (the server adds
- * request provenance: coalesced group size, resource-cache outcome).
- */
-obs::RunManifest buildExperimentManifest(
-    const ExperimentSpec &spec, const ExperimentResult &result,
-    const std::string &tool, const std::string &argv,
-    const std::vector<std::pair<std::string, std::string>> &extra_config =
-        {});
+/** Assemble the schema-versioned run manifest for one completed spec. */
+obs::RunManifest buildExperimentManifest(const ExperimentSpec &spec,
+                                         const ExperimentResult &result,
+                                         const std::string &tool,
+                                         const std::string &argv);
 
 } // namespace cachelab::serve
 

@@ -331,36 +331,6 @@ parseSizes(const JsonValue &doc, std::vector<std::uint64_t> &out)
 
 } // namespace
 
-std::optional<std::string>
-checkCacheConfig(const CacheConfig &config)
-{
-    // The same rules as CacheConfig::validate(), without the fatal():
-    // the server rejects the spec and lives on.
-    if (!isPowerOfTwo(config.sizeBytes))
-        return "cache size " + std::to_string(config.sizeBytes) +
-               " is not a power of two";
-    if (!isPowerOfTwo(config.lineBytes))
-        return "line size " + std::to_string(config.lineBytes) +
-               " is not a power of two";
-    if (config.lineBytes > config.sizeBytes)
-        return "line size " + std::to_string(config.lineBytes) +
-               " exceeds cache size " + std::to_string(config.sizeBytes);
-    const std::uint64_t lines = config.sizeBytes / config.lineBytes;
-    const std::uint64_t assoc =
-        config.associativity == 0 ? lines : config.associativity;
-    if (!isPowerOfTwo(assoc))
-        return "associativity " + std::to_string(assoc) +
-               " is not a power of two";
-    if (assoc > lines)
-        return "associativity " + std::to_string(assoc) +
-               " exceeds line count " + std::to_string(lines);
-    if (auto err = checkReplacementPolicy(config.replacement))
-        return err;
-    if (auto err = checkAdmissionPolicy(config.admission))
-        return err;
-    return std::nullopt;
-}
-
 std::string
 InputSpec::displayName() const
 {
@@ -422,8 +392,8 @@ InputSpec::open(std::string *error) const
     switch (kind) {
       case Kind::File: {
         // Existence is the recoverable failure mode; a trace that goes
-        // corrupt mid-stream is the operator's own file and still
-        // fatal()s (the socket is same-user local, DESIGN.md §4h).
+        // corrupt mid-stream still fatal()s with the decoder's
+        // file-and-line diagnostic.
         std::ifstream probe(name, std::ios::binary);
         if (!probe) {
             if (error != nullptr)
@@ -498,13 +468,13 @@ parseExperimentSpec(const JsonValue &doc, ExperimentSpec &out)
     for (std::uint64_t size : out.sizes) {
         CacheConfig point = out.base;
         point.sizeBytes = size;
-        if (auto err = checkCacheConfig(point))
+        if (auto err = point.check())
             return err;
     }
 
     // Warm-up rule, checked up front so the drivers' fatal() variant
-    // can never trigger inside the server: the run must keep at least
-    // one measured reference, which requires a knowable input length.
+    // never fires mid-pass: the run must keep at least one measured
+    // reference, which requires a knowable input length.
     if (out.warmupRefs != 0) {
         const std::uint64_t known = out.input.knownRefs();
         if (known == 0)

@@ -1,19 +1,17 @@
 /**
  * @file
- * Declarative experiment specs: the request language of the campaign
- * server.
+ * Declarative experiment specs.
  *
  * A spec is one JSON object describing a complete experiment — an
  * input (trace file, corpus profile, or parameterized KV workload), a
  * base cache configuration, a size axis, and the run schedule (purge
- * interval, warm-up).  The same spec drives `cachelab_serve` requests
- * and standalone `cachelab_sim --spec` runs, so a tenant can check any
- * server answer against a from-scratch run bit for bit.
+ * interval, warm-up).  `cachelab_sim --spec` runs one or more of them;
+ * specs over the same input share one pass (serve/engine.hh).
  *
  * Shape (all cache/run fields optional, defaults in parentheses):
  *
  *   {
- *     "id": "tenant-a",                      // echoed in results
+ *     "id": "run-a",                         // echoed in results
  *     "input": {
  *       "kind": "profile",                   // "file" | "profile" | "kv"
  *       "name": "ZGREP",                     // profile name | file path
@@ -47,10 +45,10 @@
  * refs, key_count, object_bytes, ref_bytes, zipf_theta, read_ratio,
  * scan_fraction, mean_scan_objects, drift_refs, seed.
  *
- * Everything here is NON-FATAL by design: the server must survive any
- * malformed tenant input, so parsing and validation return diagnostics
- * instead of calling fatal().  Tools that want to die on a bad spec
- * (cachelab_sim) wrap the returned error in their own fatal().
+ * Parsing and validation are NON-FATAL: they return a one-line
+ * diagnostic instead of calling fatal(), so library callers can reject
+ * a bad spec and go on.  cachelab_sim wraps the error in its own
+ * fatal().
  */
 
 #ifndef CACHELAB_SERVE_SPEC_HH
@@ -76,7 +74,7 @@ struct InputSpec
 {
     enum class Kind
     {
-        File,    ///< trace file on the server's filesystem
+        File,    ///< trace file (din, packed or delta-compressed)
         Profile, ///< named corpus profile (workload/profiles)
         Kv,      ///< parameterized KV/CDN workload (workload/kv_model)
     };
@@ -91,9 +89,8 @@ struct InputSpec
 
     /**
      * Canonical identity of the reference stream this input produces.
-     * Equal keys mean equal streams: the resource cache shares loaded
-     * traces across requests by this key, and the batcher coalesces
-     * requests whose keys match into one engine pass.
+     * Equal keys mean equal streams, so specs whose keys match can
+     * share one engine pass.
      */
     std::string cacheKey() const;
 
@@ -111,7 +108,7 @@ struct InputSpec
 /** One declarative experiment: input x configs x schedule. */
 struct ExperimentSpec
 {
-    std::string id;          ///< tenant-chosen label, echoed back
+    std::string id;          ///< caller-chosen label, echoed back
     InputSpec input;
     CacheConfig base;        ///< sizeBytes ignored; sizes below rule
     std::vector<std::uint64_t> sizes;
@@ -119,7 +116,7 @@ struct ExperimentSpec
     std::uint64_t warmupRefs = 0;
     TimingConfig timing;     ///< AMAT model; default = not configured
 
-    /** The batcher's compatibility key (the input identity). */
+    /** The coalescing key (the input identity). */
     std::string batchKey() const { return input.cacheKey(); }
 };
 
@@ -135,12 +132,6 @@ std::optional<std::string> parseExperimentSpec(const JsonValue &doc,
 /** parseExperimentSpec() from raw JSON text (parse + validate). */
 std::optional<std::string> parseExperimentSpec(std::string_view text,
                                                ExperimentSpec &out);
-
-/**
- * Non-fatal twin of CacheConfig::validate() (same rules): @return a
- * diagnostic, or std::nullopt when the config is valid.
- */
-std::optional<std::string> checkCacheConfig(const CacheConfig &config);
 
 } // namespace cachelab::serve
 

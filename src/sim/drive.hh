@@ -1,7 +1,7 @@
 /**
  * @file
  * Internal span-based simulation driver shared by runTrace(), the
- * sweep engines and the sampled driver.
+ * sweep engines, the sampled driver and the spec engine.
  *
  * The hot loop lives here exactly once: driveSpan() advances one
  * System over a span of references, carrying {purge phase, warm-up
@@ -11,13 +11,20 @@
  * feeding consecutive batches yields the identical access/purge/
  * resetStats sequence, which is what makes streamed and materialized
  * runs bit-identical.
+ *
+ * drivePass() is the one streamed multi-point loop on top of it: N
+ * systems, each with its own run schedule and DriveState, fed
+ * batch-by-batch from one TraceSource pass.
  */
 
 #ifndef CACHELAB_SIM_DRIVE_HH
 #define CACHELAB_SIM_DRIVE_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
@@ -28,6 +35,9 @@
 
 namespace cachelab
 {
+
+class ThreadPool;
+
 namespace detail
 {
 
@@ -140,6 +150,78 @@ void driveFinish(const DriveState &state, const RunConfig &config,
  * cost apart from the simulation that consumes it.
  */
 std::size_t nextSourceBatch(TraceSource &source, std::span<MemoryRef> out);
+
+/**
+ * Fan-out helper for the chunk-synchronous streaming engines: the
+ * same serial / shared-pool / local-pool policy as sweepParallelFor
+ * (sim/sweep.hh), but holding any local pool open across *all*
+ * batches of a stream instead of rebuilding it per batch.
+ */
+class BatchExecutor
+{
+  public:
+    explicit BatchExecutor(const RunConfig &run);
+    ~BatchExecutor();
+
+    /** Run fn(0) .. fn(n-1) under the policy chosen at construction. */
+    void parallelFor(std::size_t n,
+                     const std::function<void(std::size_t)> &fn);
+
+  private:
+    ThreadPool *pool_ = nullptr;
+    std::unique_ptr<ThreadPool> local_;
+};
+
+/**
+ * One simulated point of a streamed pass: a system with its own run
+ * schedule (purge interval, warm-up) and carried driver state, so
+ * points with different schedules share one pass.
+ */
+template <typename System>
+struct PassPoint
+{
+    std::unique_ptr<System> system;
+    RunConfig run;
+    DriveState state;
+
+    PassPoint(std::unique_ptr<System> sys, const RunConfig &config)
+        : system(std::move(sys)), run(config), state(config)
+    {}
+};
+
+/**
+ * Stream @p source once, chunk-synchronously: each batch (pulled
+ * through nextSourceBatch(), so it is timed as "source") fans out over
+ * @p points, and every point is closed with driveFinish() after the
+ * stream drains.  Each point sees exactly the reference sequence a
+ * dedicated run would feed it, so its statistics are bitwise those of
+ * a standalone run.  @p fan supplies the fan-out width (jobs) and the
+ * batch size; counters and profile scopes beyond driveFinish()'s are
+ * the caller's.
+ *
+ * @return the number of references read from @p source.
+ */
+template <typename System>
+std::uint64_t
+drivePass(TraceSource &source, std::span<PassPoint<System>> points,
+          const RunConfig &fan)
+{
+    const DriveObs ob;
+    BatchExecutor exec(fan);
+    std::vector<MemoryRef> buffer(fan.resolvedBatchRefs());
+    std::uint64_t total = 0;
+    while (const std::size_t got = nextSourceBatch(source, buffer)) {
+        const std::span<const MemoryRef> batch(buffer.data(), got);
+        exec.parallelFor(points.size(), [&](std::size_t i) {
+            PassPoint<System> &point = points[i];
+            driveSpan(batch, *point.system, point.run, point.state, ob);
+        });
+        total += got;
+    }
+    for (PassPoint<System> &point : points)
+        driveFinish(point.state, point.run, ob);
+    return total;
+}
 
 } // namespace detail
 } // namespace cachelab

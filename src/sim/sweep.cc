@@ -194,9 +194,9 @@ sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
 }
 
 std::vector<SweepPoint>
-sweepUnifiedPerSizeStream(TraceSource &source,
-                          const std::vector<std::uint64_t> &sizes,
-                          const CacheConfig &base, const RunConfig &run)
+sweepUnifiedPerSize(TraceSource &source,
+                    const std::vector<std::uint64_t> &sizes,
+                    const CacheConfig &base, const RunConfig &run)
 {
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.stream");
@@ -204,36 +204,21 @@ sweepUnifiedPerSizeStream(TraceSource &source,
                         {{"trace", source.name()}});
 
     const auto probes = probesForSizes(sizes, base, run, "unified");
-    std::vector<std::unique_ptr<Cache>> caches;
-    caches.reserve(sizes.size());
+    std::vector<detail::PassPoint<Cache>> points;
+    points.reserve(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-        caches.push_back(std::make_unique<Cache>(configAt(base, sizes[i])));
+        points.emplace_back(
+            std::make_unique<Cache>(configAt(base, sizes[i])), run);
         if (!probes.empty())
-            caches.back()->setProbe(probes[i]);
+            points.back().system->setProbe(probes[i]);
     }
-    std::vector<detail::DriveState> states(sizes.size(),
-                                           detail::DriveState(run));
-    const detail::DriveObs ob;
-
-    // One input pass: each batch fans out over the size axis.  Every
-    // cache sees the exact reference sequence a dedicated full run
-    // would feed it, so the results are bitwise those of the
-    // materialized per-size sweep.
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            detail::driveSpan(batch, *caches[i], run, states[i], ob);
-        });
-    }
+    // One input pass: each batch fans out over the size axis, so the
+    // results are bitwise those of the materialized per-size sweep.
+    detail::drivePass<Cache>(source, points, run);
 
     std::vector<SweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        detail::driveFinish(states[i], run, ob);
-        out[i] = {sizes[i], caches[i]->stats()};
-    }
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        out[i] = {sizes[i], points[i].system->stats()};
     return out;
 }
 
@@ -272,9 +257,9 @@ sweepUnifiedSinglePass(TraceSource &source,
 }
 
 std::vector<SplitSweepPoint>
-sweepSplitPerSizeStream(TraceSource &source,
-                        const std::vector<std::uint64_t> &sizes,
-                        const CacheConfig &base, const RunConfig &run)
+sweepSplitPerSize(TraceSource &source,
+                  const std::vector<std::uint64_t> &sizes,
+                  const CacheConfig &base, const RunConfig &run)
 {
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.stream");
@@ -284,34 +269,21 @@ sweepSplitPerSizeStream(TraceSource &source,
 
     const auto iprobes = probesForSizes(sizes, base, run, "icache");
     const auto dprobes = probesForSizes(sizes, base, run, "dcache");
-    std::vector<std::unique_ptr<SplitCache>> splits;
-    splits.reserve(sizes.size());
+    std::vector<detail::PassPoint<SplitCache>> points;
+    points.reserve(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i) {
         const CacheConfig config = configAt(base, sizes[i]);
-        splits.push_back(std::make_unique<SplitCache>(config, config));
+        points.emplace_back(std::make_unique<SplitCache>(config, config),
+                            run);
         if (!iprobes.empty())
-            splits.back()->setProbes(iprobes[i], dprobes[i]);
+            points.back().system->setProbes(iprobes[i], dprobes[i]);
     }
-    std::vector<detail::DriveState> states(sizes.size(),
-                                           detail::DriveState(run));
-    const detail::DriveObs ob;
-
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = detail::nextSourceBatch(source, buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            detail::driveSpan(batch, *splits[i], run, states[i], ob);
-        });
-    }
+    detail::drivePass<SplitCache>(source, points, run);
 
     std::vector<SplitSweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        detail::driveFinish(states[i], run, ob);
-        out[i] = {sizes[i], splits[i]->icache().stats(),
-                  splits[i]->dcache().stats()};
-    }
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        out[i] = {sizes[i], points[i].system->icache().stats(),
+                  points[i].system->dcache().stats()};
     return out;
 }
 
@@ -356,6 +328,139 @@ sweepSplitSinglePass(TraceSource &source,
     return out;
 }
 
+/** The single-pass engine has one body, the streamed one; a
+ *  materialized trace feeds it from memory. */
+std::vector<SweepPoint>
+sweepUnifiedSinglePass(const Trace &trace,
+                       const std::vector<std::uint64_t> &sizes,
+                       const CacheConfig &base, const RunConfig &run)
+{
+    MemorySource source(trace.refs(), trace.name());
+    return sweepUnifiedSinglePass(source, sizes, base, run);
+}
+
+std::vector<SplitSweepPoint>
+sweepSplitSinglePass(const Trace &trace,
+                     const std::vector<std::uint64_t> &sizes,
+                     const CacheConfig &base, const RunConfig &run)
+{
+    MemorySource source(trace.refs(), trace.name());
+    return sweepSplitSinglePass(source, sizes, base, run);
+}
+
+/** Position a sweep input at its start again for a second pass. */
+void
+rewind(const Trace &)
+{
+    // A materialized trace is re-read from memory on every pass.
+}
+
+void
+rewind(TraceSource &source)
+{
+    source.reset();
+}
+
+/** @return true when Auto should take the single-pass engine. */
+bool
+autoPicksSinglePass(const CacheConfig &base, const RunConfig &run)
+{
+    // Probes force the per-size path: only real caches emit events.
+    return sweepSinglePassEligible(base, run) && run.probeFactory == nullptr;
+}
+
+/**
+ * The engine switch of a unified sweep, once for both input types:
+ * the per-size, single-pass and sampled runners are picked by
+ * overload on @p input.
+ */
+template <typename Input>
+std::vector<SweepPoint>
+sweepUnifiedOver(Input &input, const std::vector<std::uint64_t> &sizes,
+                 const CacheConfig &base, const RunConfig &run,
+                 SweepEngine engine)
+{
+    switch (engine) {
+      case SweepEngine::Auto:
+        return autoPicksSinglePass(base, run)
+            ? sweepUnifiedSinglePass(input, sizes, base, run)
+            : sweepUnifiedPerSize(input, sizes, base, run);
+      case SweepEngine::PerSize:
+        return sweepUnifiedPerSize(input, sizes, base, run);
+      case SweepEngine::SinglePass:
+        return sweepUnifiedSinglePass(input, sizes, base, run);
+      case SweepEngine::Verify: {
+        rejectProbes(run, "verify");
+        const auto per_size = sweepUnifiedPerSize(input, sizes, base, run);
+        rewind(input);
+        const auto fast = sweepUnifiedSinglePass(input, sizes, base, run);
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            if (!statsEqual(per_size[i].stats, fast[i].stats))
+                reportMismatch("unified", sizes[i], per_size[i].stats,
+                               fast[i].stats);
+        }
+        return per_size;
+      }
+      case SweepEngine::Sampled: {
+        rejectProbes(run, "sampled");
+        const auto sampled =
+            sweepUnifiedSampled(input, sizes, base, SampleConfig{}, run);
+        std::vector<SweepPoint> out;
+        out.reserve(sampled.size());
+        for (const SampledSweepPoint &pt : sampled)
+            out.push_back({pt.cacheBytes, pt.result.estimated});
+        return out;
+      }
+    }
+    panic("unreachable sweep engine");
+}
+
+/** sweepUnifiedOver() for the split organization. */
+template <typename Input>
+std::vector<SplitSweepPoint>
+sweepSplitOver(Input &input, const std::vector<std::uint64_t> &sizes,
+               const CacheConfig &base, const RunConfig &run,
+               SweepEngine engine)
+{
+    switch (engine) {
+      case SweepEngine::Auto:
+        return autoPicksSinglePass(base, run)
+            ? sweepSplitSinglePass(input, sizes, base, run)
+            : sweepSplitPerSize(input, sizes, base, run);
+      case SweepEngine::PerSize:
+        return sweepSplitPerSize(input, sizes, base, run);
+      case SweepEngine::SinglePass:
+        return sweepSplitSinglePass(input, sizes, base, run);
+      case SweepEngine::Verify: {
+        rejectProbes(run, "verify");
+        const auto per_size = sweepSplitPerSize(input, sizes, base, run);
+        rewind(input);
+        const auto fast = sweepSplitSinglePass(input, sizes, base, run);
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            if (!statsEqual(per_size[i].icache, fast[i].icache))
+                reportMismatch("split icache", sizes[i], per_size[i].icache,
+                               fast[i].icache);
+            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
+                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
+                               fast[i].dcache);
+        }
+        return per_size;
+      }
+      case SweepEngine::Sampled: {
+        rejectProbes(run, "sampled");
+        const auto sampled =
+            sweepSplitSampled(input, sizes, base, SampleConfig{}, run);
+        std::vector<SplitSweepPoint> out;
+        out.reserve(sampled.size());
+        for (const SplitSampledSweepPoint &pt : sampled)
+            out.push_back({pt.cacheBytes, pt.icache.estimated,
+                           pt.dcache.estimated});
+        return out;
+      }
+    }
+    panic("unreachable sweep engine");
+}
+
 } // namespace
 
 std::vector<std::uint64_t>
@@ -391,89 +496,14 @@ sweepUnified(const Trace &trace, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
-    // The single-pass engine has one body, the streamed one; a
-    // materialized trace feeds it from memory.
-    MemorySource source(trace.refs(), trace.name());
-    switch (engine) {
-      case SweepEngine::Auto:
-        // Probes force the per-size path: only real caches emit events.
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(source, sizes, base, run)
-            : sweepUnifiedPerSize(trace, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepUnifiedPerSize(trace, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size = sweepUnifiedPerSize(trace, sizes, base, run);
-        const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].stats, fast[i].stats))
-                reportMismatch("unified", sizes[i], per_size[i].stats,
-                               fast[i].stats);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepUnifiedSampled(trace, sizes, base, SampleConfig{}, run);
-        std::vector<SweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.result.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepUnifiedOver(trace, sizes, base, run, engine);
 }
 
 std::vector<SplitSweepPoint>
 sweepSplit(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
-    // The single-pass engine has one body, the streamed one; a
-    // materialized trace feeds it from memory.
-    MemorySource source(trace.refs(), trace.name());
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepSplitSinglePass(source, sizes, base, run)
-            : sweepSplitPerSize(trace, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepSplitPerSize(trace, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size = sweepSplitPerSize(trace, sizes, base, run);
-        const auto fast = sweepSplitSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].icache, fast[i].icache))
-                reportMismatch("split icache", sizes[i], per_size[i].icache,
-                               fast[i].icache);
-            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
-                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
-                               fast[i].dcache);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepSplitSampled(trace, sizes, base, SampleConfig{}, run);
-        std::vector<SplitSweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SplitSampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.icache.estimated,
-                           pt.dcache.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepSplitOver(trace, sizes, base, run, engine);
 }
 
 std::vector<SweepPoint>
@@ -481,88 +511,14 @@ sweepUnified(TraceSource &source, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(source, sizes, base, run)
-            : sweepUnifiedPerSizeStream(source, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepUnifiedPerSizeStream(source, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size =
-            sweepUnifiedPerSizeStream(source, sizes, base, run);
-        source.reset();
-        const auto fast =
-            sweepUnifiedSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].stats, fast[i].stats))
-                reportMismatch("unified", sizes[i], per_size[i].stats,
-                               fast[i].stats);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepUnifiedSampled(source, sizes, base, SampleConfig{}, run);
-        std::vector<SweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.result.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepUnifiedOver(source, sizes, base, run, engine);
 }
 
 std::vector<SplitSweepPoint>
 sweepSplit(TraceSource &source, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepSplitSinglePass(source, sizes, base, run)
-            : sweepSplitPerSizeStream(source, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepSplitPerSizeStream(source, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size =
-            sweepSplitPerSizeStream(source, sizes, base, run);
-        source.reset();
-        const auto fast =
-            sweepSplitSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].icache, fast[i].icache))
-                reportMismatch("split icache", sizes[i], per_size[i].icache,
-                               fast[i].icache);
-            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
-                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
-                               fast[i].dcache);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepSplitSampled(source, sizes, base, SampleConfig{}, run);
-        std::vector<SplitSweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SplitSampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.icache.estimated,
-                           pt.dcache.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepSplitOver(source, sizes, base, run, engine);
 }
 
 } // namespace cachelab

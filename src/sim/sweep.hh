@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/config.hh"
@@ -35,8 +34,6 @@
 
 namespace cachelab
 {
-
-class ThreadPool;
 
 namespace detail
 {
@@ -48,27 +45,6 @@ namespace detail
  */
 void sweepParallelFor(std::size_t n, const RunConfig &run,
                       const std::function<void(std::size_t)> &fn);
-
-/**
- * Fan-out helper for the chunk-synchronous streaming engines: the
- * same serial / shared-pool / local-pool policy as sweepParallelFor,
- * but holding any local pool open across *all* batches of a stream
- * instead of rebuilding it per batch.
- */
-class BatchExecutor
-{
-  public:
-    explicit BatchExecutor(const RunConfig &run);
-    ~BatchExecutor();
-
-    /** Run fn(0) .. fn(n-1) under the policy chosen at construction. */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn);
-
-  private:
-    ThreadPool *pool_ = nullptr;
-    std::unique_ptr<ThreadPool> local_;
-};
 
 } // namespace detail
 

@@ -4,7 +4,7 @@
  *
  * The program model (program_model.hh) synthesizes *CPU* reference
  * streams — loops, stacks, records — in the image of the paper's 1985
- * trace corpus.  The campaign server's tenants ask a different
+ * trace corpus.  KV experiment specs ask a different
  * question: "what cache would this production key-value / CDN workload
  * need?".  This model generates that traffic class directly, with the
  * knobs the storage-trace literature calibrates against production
@@ -96,7 +96,7 @@ struct KvWorkloadParams
     /**
      * @return a diagnostic if the parameters are inconsistent, or
      * std::nullopt when valid.  The non-fatal twin of validate(), for
-     * callers (the campaign server) that must survive bad input.
+     * callers (experiment specs) that must survive bad input.
      */
     std::optional<std::string> check() const;
 };

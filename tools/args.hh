@@ -4,6 +4,8 @@
  *
  * Accepts "--name value" and "--flag" styles; values are fetched with
  * typed getters that fatal() on malformed input so tools fail loudly.
+ * A repeated option keeps every value: get() returns the last one,
+ * getAll() all of them in order.
  */
 
 #ifndef CACHELAB_TOOLS_ARGS_HH
@@ -31,9 +33,9 @@ class Args
                 const std::string name = token.substr(2);
                 if (i + 1 < argc &&
                     std::string(argv[i + 1]).rfind("--", 0) != 0) {
-                    options_[name] = argv[++i];
+                    options_[name].push_back(argv[++i]);
                 } else {
-                    options_[name] = "";
+                    options_[name].push_back("");
                 }
             } else {
                 positional_.push_back(std::move(token));
@@ -50,7 +52,16 @@ class Args
     get(const std::string &name, const std::string &fallback = "") const
     {
         const auto it = options_.find(name);
-        return it == options_.end() ? fallback : it->second;
+        return it == options_.end() ? fallback : it->second.back();
+    }
+
+    /** @return every value given for @p name, in command-line order. */
+    std::vector<std::string>
+    getAll(const std::string &name) const
+    {
+        const auto it = options_.find(name);
+        return it == options_.end() ? std::vector<std::string>{}
+                                    : it->second;
     }
 
     std::uint64_t
@@ -59,14 +70,15 @@ class Args
         const auto it = options_.find(name);
         if (it == options_.end())
             return fallback;
+        const std::string &text = it->second.back();
         try {
             std::size_t pos = 0;
-            const std::uint64_t v = std::stoull(it->second, &pos, 0);
-            if (pos != it->second.size())
-                fatal("--", name, ": bad number '", it->second, "'");
+            const std::uint64_t v = std::stoull(text, &pos, 0);
+            if (pos != text.size())
+                fatal("--", name, ": bad number '", text, "'");
             return v;
         } catch (const std::exception &) {
-            fatal("--", name, ": bad number '", it->second, "'");
+            fatal("--", name, ": bad number '", text, "'");
         }
     }
 
@@ -76,14 +88,15 @@ class Args
         const auto it = options_.find(name);
         if (it == options_.end())
             return fallback;
+        const std::string &text = it->second.back();
         try {
             std::size_t pos = 0;
-            const double v = std::stod(it->second, &pos);
-            if (pos != it->second.size())
-                fatal("--", name, ": bad number '", it->second, "'");
+            const double v = std::stod(text, &pos);
+            if (pos != text.size())
+                fatal("--", name, ": bad number '", text, "'");
             return v;
         } catch (const std::exception &) {
-            fatal("--", name, ": bad number '", it->second, "'");
+            fatal("--", name, ": bad number '", text, "'");
         }
     }
 
@@ -93,7 +106,7 @@ class Args
     }
 
   private:
-    std::map<std::string, std::string> options_;
+    std::map<std::string, std::vector<std::string>> options_;
     std::vector<std::string> positional_;
 };
 

@@ -54,12 +54,6 @@ single-run mode (all three required):
                         (after a sweep, one of the FILE.<size> files)
   --out-dir DIR         output directory (created if missing)
 
-campaign mode:
-  --registry DIR        render a campaign summary from a cachelab_serve
-                        run registry (DIR/index.json) to stdout:
-                        per-tenant latency table, slowest runs,
-                        cache-hit ratios
-
 bench-compare mode (the perf regression gate):
   --bench-compare BASELINE CURRENT
                         compare cachelab_bench documents: each side is
@@ -72,7 +66,7 @@ bench-compare mode (the perf regression gate):
   --bench-csv FILE      also write the delta table as CSV
 
 options:
-  --top N               conflict sets / slowest runs listed (default 8)
+  --top N               conflict sets listed (default 8)
 )";
 
 /** One {"type":"interval"} record from the events file. */
@@ -386,162 +380,6 @@ writeReportMd(const std::string &path, const JsonValue &manifest,
     }
 }
 
-// ---- campaign mode: cachelab_report --registry DIR -----------------
-
-/** One index.json entry, as written by serve::RunRegistry. */
-struct RegistryRun
-{
-    std::uint64_t seq = 0;
-    std::string tenant;
-    std::string input;
-    std::string inputKind;
-    std::string outcome;
-    std::uint64_t refs = 0;
-    bool cacheHit = false;
-    std::uint64_t queueWaitNs = 0;
-    std::uint64_t execNs = 0;
-    std::uint64_t e2eNs = 0;
-};
-
-std::string
-stringField(const JsonValue &record, std::string_view key)
-{
-    const JsonValue *v = record.find(key);
-    return v != nullptr && v->isString() ? v->asString() : std::string{};
-}
-
-std::vector<RegistryRun>
-loadRegistryIndex(const std::string &dir)
-{
-    const std::string index_path = dir + "/index.json";
-    std::string err;
-    const std::optional<JsonValue> doc =
-        parseJson(readFile(index_path), &err);
-    if (!doc)
-        fatal(index_path, ": ", err);
-    if (const JsonValue *schema = doc->find("schema");
-        schema == nullptr || schema->asString() != "cachelab.run_registry")
-        fatal(index_path, ": not a cachelab run registry index");
-    std::vector<RegistryRun> runs;
-    for (const JsonValue &entry : doc->at("runs").items()) {
-        RegistryRun run;
-        run.seq = uintField(entry, "seq");
-        run.tenant = stringField(entry, "tenant");
-        run.input = stringField(entry, "input");
-        run.inputKind = stringField(entry, "input_kind");
-        run.outcome = stringField(entry, "outcome");
-        run.refs = uintField(entry, "refs");
-        const JsonValue *hit = entry.find("cache_hit");
-        run.cacheHit = hit != nullptr && hit->isBool() && hit->asBool();
-        run.queueWaitNs = uintField(entry, "queue_wait_ns");
-        run.execNs = uintField(entry, "exec_ns");
-        run.e2eNs = uintField(entry, "e2e_ns");
-        runs.push_back(std::move(run));
-    }
-    return runs;
-}
-
-std::string
-formatNs(double ns)
-{
-    const char *unit = "ns";
-    double v = ns;
-    if (v >= 1e9) {
-        v /= 1e9;
-        unit = "s";
-    } else if (v >= 1e6) {
-        v /= 1e6;
-        unit = "ms";
-    } else if (v >= 1e3) {
-        v /= 1e3;
-        unit = "us";
-    }
-    return formatFixed(v, v >= 100 ? 0 : 2) + " " + unit;
-}
-
-int
-campaignReport(const std::string &dir, std::size_t top_n)
-{
-    const std::vector<RegistryRun> runs = loadRegistryIndex(dir);
-    std::cout << "# cachelab campaign summary\n\n";
-    std::cout << "- registry: `" << dir << "` (" << runs.size()
-              << " retained runs)\n";
-
-    std::uint64_t ok = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t hits = 0;
-    for (const RegistryRun &run : runs) {
-        (run.outcome == "ok" ? ok : errors) += 1;
-        hits += run.cacheHit ? 1 : 0;
-    }
-    std::cout << "- outcomes: " << ok << " ok, " << errors << " error\n";
-    std::cout << "- resource-cache hit ratio: " << pct(hits, runs.size())
-              << "\n\n";
-    if (runs.empty())
-        return 0;
-
-    // Per-tenant accounting, in first-seen order.
-    struct TenantRow
-    {
-        std::uint64_t runs = 0;
-        std::uint64_t errors = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t refs = 0;
-        std::uint64_t sumE2e = 0;
-        std::uint64_t maxE2e = 0;
-    };
-    std::vector<std::pair<std::string, TenantRow>> tenants;
-    for (const RegistryRun &run : runs) {
-        auto it = std::find_if(
-            tenants.begin(), tenants.end(),
-            [&run](const auto &t) { return t.first == run.tenant; });
-        if (it == tenants.end())
-            it = tenants.insert(tenants.end(), {run.tenant, {}});
-        TenantRow &row = it->second;
-        ++row.runs;
-        row.errors += run.outcome == "ok" ? 0 : 1;
-        row.hits += run.cacheHit ? 1 : 0;
-        row.refs += run.refs;
-        row.sumE2e += run.e2eNs;
-        row.maxE2e = std::max(row.maxE2e, run.e2eNs);
-    }
-    std::cout << "## Per-tenant latency\n\n";
-    std::cout << "| tenant | runs | errors | cache hits | refs | mean e2e "
-                 "| max e2e |\n|---|---:|---:|---:|---:|---:|---:|\n";
-    for (const auto &[tenant, row] : tenants) {
-        std::cout << "| " << tenant << " | " << row.runs << " | "
-                  << row.errors << " | " << pct(row.hits, row.runs)
-                  << " | " << formatCount(row.refs) << " | "
-                  << formatNs(static_cast<double>(row.sumE2e) /
-                              static_cast<double>(row.runs))
-                  << " | "
-                  << formatNs(static_cast<double>(row.maxE2e)) << " |\n";
-    }
-    std::cout << "\n";
-
-    std::vector<RegistryRun> slowest = runs;
-    std::sort(slowest.begin(), slowest.end(),
-              [](const RegistryRun &a, const RegistryRun &b) {
-                  return a.e2eNs != b.e2eNs ? a.e2eNs > b.e2eNs
-                                            : a.seq < b.seq;
-              });
-    if (slowest.size() > top_n)
-        slowest.resize(top_n);
-    std::cout << "## Slowest runs\n\n";
-    std::cout << "| seq | tenant | input | outcome | queue wait | exec | "
-                 "e2e |\n|---:|---|---|---|---:|---:|---:|\n";
-    for (const RegistryRun &run : slowest) {
-        std::cout << "| " << run.seq << " | " << run.tenant << " | "
-                  << run.input << " | " << run.outcome << " | "
-                  << formatNs(static_cast<double>(run.queueWaitNs))
-                  << " | " << formatNs(static_cast<double>(run.execNs))
-                  << " | " << formatNs(static_cast<double>(run.e2eNs))
-                  << " |\n";
-    }
-    std::cout << "\n";
-    return 0;
-}
-
 // ---- bench-compare mode: the performance regression gate -----------
 
 /** One cachelab.bench v1 document, reduced to what the gate needs. */
@@ -741,17 +579,11 @@ main(int argc, char **argv)
                             args.getDouble("bench-threshold", 0.10),
                             args.get("bench-csv"));
     }
-    if (const std::string registry_dir = args.get("registry");
-        !registry_dir.empty())
-        return campaignReport(registry_dir, top_n);
-
     const std::string manifest_path = args.get("manifest");
     const std::string events_path = args.get("events");
     const std::string out_dir = args.get("out-dir");
     if (manifest_path.empty() || events_path.empty() || out_dir.empty())
-        fatal("need --manifest, --events and --out-dir "
-              "(or --registry DIR)\n",
-              kUsage);
+        fatal("need --manifest, --events and --out-dir\n", kUsage);
 
     std::string err;
     const std::optional<JsonValue> manifest =

@@ -76,10 +76,13 @@ namespace
 constexpr const char *kUsage = R"(usage: cachelab_sim [options]
 
 input (one required):
-  --spec FILE           run a declarative experiment spec (the same
-                        JSON cachelab_serve accepts; see serve/spec.hh)
-                        standalone and write its manifest to
-                        --metrics-json (default '-'); exclusive with
+  --spec FILE           run a declarative JSON experiment spec (see
+                        serve/spec.hh) and write its manifest to
+                        --metrics-json (default '-'); repeatable: specs
+                        over the same input share one pass, and each
+                        --metrics-json pairs with the --spec at its
+                        position (without any, every manifest goes to
+                        stdout in argument order); exclusive with
                         every other input/mode flag
   --trace FILE          trace file: din text (.din), packed binary
                         (.ctr) or delta-compressed; format picked by
@@ -1209,12 +1212,37 @@ runModes(const Args &args, Input &input, const CacheConfig &base,
     return 0;
 }
 
+/** Read and parse the spec at @p path ('-' = stdin); fatal on error. */
+serve::ExperimentSpec
+loadSpec(const std::string &path)
+{
+    std::string text;
+    if (path == "-") {
+        std::ostringstream buf;
+        buf << std::cin.rdbuf();
+        text = buf.str();
+    } else {
+        std::ifstream in(path, std::ios::binary);
+        if (!in)
+            fatal("cannot open spec file: ", path);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        text = buf.str();
+    }
+    serve::ExperimentSpec spec;
+    if (std::optional<std::string> error =
+            serve::parseExperimentSpec(text, spec))
+        fatal("invalid spec ", path, ": ", *error);
+    return spec;
+}
+
 /**
- * --spec FILE: run one declarative experiment spec — the exact JSON a
- * cachelab_serve tenant submits — standalone, through the same engine
- * and manifest builder the server uses.  This is the reproducibility
- * escape hatch: re-running a server answer here must produce a
- * bitwise-identical "results" section.
+ * --spec FILE [--spec FILE ...]: run declarative experiment specs.
+ * Specs with the same input (batchKey()) share one runCoalesced()
+ * pass, so each distinct input is opened and read once; the results
+ * are bitwise those of running each spec alone.  Manifests go to the
+ * --metrics-json paths paired by position, or all to stdout in
+ * argument order.
  */
 int
 runSpecMode(const Args &args, int argc, char **argv)
@@ -1232,45 +1260,59 @@ runSpecMode(const Args &args, int argc, char **argv)
             fatal("--spec is exclusive with --", flag,
                   " (the spec file carries the whole experiment)");
 
-    const std::string path = args.get("spec");
-    std::string text;
-    if (path == "-") {
-        std::ostringstream buf;
-        buf << std::cin.rdbuf();
-        text = buf.str();
-    } else {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            fatal("cannot open spec file: ", path);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-    }
-
-    serve::ExperimentSpec spec;
-    if (std::optional<std::string> error =
-            serve::parseExperimentSpec(text, spec))
-        fatal("invalid spec ", path, ": ", *error);
+    const std::vector<std::string> paths = args.getAll("spec");
+    const std::vector<std::string> outs = args.getAll("metrics-json");
+    if (!outs.empty() && outs.size() != paths.size())
+        fatal("--metrics-json must be given once per --spec (", outs.size(),
+              " for ", paths.size(), " specs)");
+    std::vector<serve::ExperimentSpec> specs;
+    for (const std::string &path : paths)
+        specs.push_back(loadSpec(path));
 
     serve::EngineOptions engine;
     engine.jobs = static_cast<unsigned>(args.getUint("jobs", 0));
     engine.batchRefs = args.getUint("batch", 0);
-    const serve::ExperimentResult result = serve::runExperiment(spec, engine);
-    if (!result.error.empty())
-        fatal("spec ", path, ": ", result.error);
 
-    obs::RunManifest manifest = serve::buildExperimentManifest(
-        spec, result, "cachelab_sim", obs::joinArgv(argc, argv));
+    // Group by input in argument order; one pass per group.
+    std::vector<serve::ExperimentResult> results(specs.size());
+    std::vector<bool> grouped(specs.size(), false);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (grouped[i])
+            continue;
+        std::vector<std::size_t> members;
+        std::vector<serve::ExperimentSpec> group;
+        for (std::size_t j = i; j < specs.size(); ++j) {
+            if (!grouped[j] && specs[j].batchKey() == specs[i].batchKey()) {
+                grouped[j] = true;
+                members.push_back(j);
+                group.push_back(specs[j]);
+            }
+        }
+        std::string error;
+        const std::unique_ptr<TraceSource> source =
+            specs[i].input.open(&error);
+        if (source == nullptr)
+            fatal("spec ", paths[i], ": ", error);
+        std::vector<serve::ExperimentResult> group_results =
+            serve::runCoalesced(*source, group, engine);
+        for (std::size_t k = 0; k < members.size(); ++k)
+            results[members[k]] = std::move(group_results[k]);
+    }
 
-    const std::string out_path = args.get("metrics-json", "-");
-    if (out_path == "-") {
-        obs::writeManifest(std::cout, manifest);
-    } else {
-        std::ofstream out(out_path);
-        if (!out)
-            fatal("cannot open '", out_path, "'");
-        obs::writeManifest(out, manifest);
-        inform("wrote run manifest to ", out_path);
+    const std::string argv_text = obs::joinArgv(argc, argv);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const obs::RunManifest manifest = serve::buildExperimentManifest(
+            specs[i], results[i], "cachelab_sim", argv_text);
+        const std::string out_path = outs.empty() ? "-" : outs[i];
+        if (out_path == "-") {
+            obs::writeManifest(std::cout, manifest);
+        } else {
+            std::ofstream out(out_path);
+            if (!out)
+                fatal("cannot open '", out_path, "'");
+            obs::writeManifest(out, manifest);
+            inform("wrote run manifest to ", out_path);
+        }
     }
     return 0;
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI: configure, build, and test the default configuration and
-# sanitized ones, then build the library in Release.  Usage:
+# sanitized ones, then build every target in Release.  Usage:
 #
 #   tools/ci.sh [jobs]
 #
@@ -246,64 +246,38 @@ if grep -q '"amat"' build-ci/smoke-policy-notiming.json; then
 fi
 echo "    policy zoo swept; AMAT manifest checked; flags-off clean"
 
-echo "==> campaign-serve smoke (daemon, coalesced tenants, bitwise parity)"
-# Start the daemon, submit two compatible specs plus a KV-workload spec
-# from concurrent clients, and require every served manifest to match a
-# standalone `cachelab_sim --spec` run bitwise in its results section.
-serve_sock=build-ci/smoke-serve.sock
-serve=build-ci/tools/cachelab_serve
-client=build-ci/tools/cachelab_client
-${serve} --version | grep -q cachelab_serve
+echo "==> spec smoke (repeated --spec, coalesced pass, bitwise parity)"
+# Three specs in one invocation: a and b share an input and must ride
+# one coalesced pass, the kv spec brings its own generated input.  Each
+# result must equal a single-spec run of the same file.
 cat > build-ci/smoke-spec-a.json <<'EOF'
-{"id": "tenant-a",
+{"id": "spec-a",
  "input": {"kind": "profile", "name": "ZGREP", "refs": 100000},
  "cache": {"line_bytes": 16},
  "sizes": {"lo": 512, "hi": 4096}}
 EOF
 cat > build-ci/smoke-spec-b.json <<'EOF'
-{"id": "tenant-b",
+{"id": "spec-b",
  "input": {"kind": "profile", "name": "ZGREP", "refs": 100000},
  "cache": {"line_bytes": 32, "associativity": 2},
  "sizes": [1024, 8192]}
 EOF
 cat > build-ci/smoke-spec-kv.json <<'EOF'
-{"id": "tenant-kv",
+{"id": "spec-kv",
  "input": {"kind": "kv", "refs": 100000, "key_count": 4096,
            "object_bytes": 64, "zipf_theta": 0.9, "scan_fraction": 0.05,
            "seed": 11},
  "cache": {"line_bytes": 64},
  "sizes": {"lo": 4096, "hi": 32768}}
 EOF
-rm -f "${serve_sock}"
-${serve} --socket "${serve_sock}" --batch-window-ms 500 \
-    > build-ci/smoke-serve.log 2>&1 &
-serve_pid=$!
-for _ in $(seq 100); do
-    grep -q "^listening" build-ci/smoke-serve.log && break
-    sleep 0.1
-done
-grep -q "^listening" build-ci/smoke-serve.log
-${client} --socket "${serve_sock}" --ping > /dev/null
-# Tenants a and b share an input and should ride one coalesced pass;
-# the kv tenant brings its own generated input.
-${client} --socket "${serve_sock}" --spec build-ci/smoke-spec-a.json \
-    --quiet --out build-ci/smoke-served-a.json &
-a_pid=$!
-${client} --socket "${serve_sock}" --spec build-ci/smoke-spec-b.json \
-    --quiet --out build-ci/smoke-served-b.json &
-b_pid=$!
-${client} --socket "${serve_sock}" --spec build-ci/smoke-spec-kv.json \
-    --quiet --out build-ci/smoke-served-kv.json &
-kv_pid=$!
-wait "${a_pid}" "${b_pid}" "${kv_pid}"
-${client} --socket "${serve_sock}" --stats --json \
-    > build-ci/smoke-serve-stats.json
-${client} --socket "${serve_sock}" --shutdown > /dev/null
-wait "${serve_pid}"
-# The standalone truth, through the same spec files.
+${sim} --spec build-ci/smoke-spec-a.json --spec build-ci/smoke-spec-b.json \
+    --spec build-ci/smoke-spec-kv.json \
+    --metrics-json build-ci/smoke-multi-a.json \
+    --metrics-json build-ci/smoke-multi-b.json \
+    --metrics-json build-ci/smoke-multi-kv.json > /dev/null
 for t in a b kv; do
     ${sim} --spec "build-ci/smoke-spec-${t}.json" \
-        --metrics-json "build-ci/smoke-standalone-${t}.json" > /dev/null
+        --metrics-json "build-ci/smoke-single-${t}.json" > /dev/null
 done
 # Malformed input must be a one-line diagnostic, not an assert.
 echo '{"id": "broken"' > build-ci/smoke-spec-broken.json
@@ -313,127 +287,19 @@ if ${sim} --spec build-ci/smoke-spec-broken.json \
 fi
 python3 - <<'EOF'
 import json
-for tenant in ("a", "b", "kv"):
-    served = json.load(open(f"build-ci/smoke-served-{tenant}.json"))
-    standalone = json.load(open(f"build-ci/smoke-standalone-{tenant}.json"))
-    assert served["results"] == standalone["results"], \
-        f"tenant {tenant}: served results differ from standalone"
-    assert len(served["results"]) > 0, tenant
-served_a = json.load(open("build-ci/smoke-served-a.json"))
-counters = served_a["metrics"]["counters"]
-serve_keys = [k for k in counters if k.startswith("serve.")]
-assert serve_keys, f"no serve.* counters in manifest metrics: {counters}"
-stats = json.load(open("build-ci/smoke-serve-stats.json"))
-assert stats["completed"] == 3, stats
-assert stats["coalesced"] >= 1, f"tenants a+b did not coalesce: {stats}"
-print(f"    3 tenants bitwise identical to standalone; coalesced="
-      f"{stats['coalesced']}, serve counters: {sorted(serve_keys)}")
+groups = []
+for spec in ("a", "b", "kv"):
+    multi = json.load(open(f"build-ci/smoke-multi-{spec}.json"))
+    single = json.load(open(f"build-ci/smoke-single-{spec}.json"))
+    assert multi["results"] == single["results"], \
+        f"spec {spec}: coalesced results differ from a single-spec run"
+    assert len(multi["results"]) > 0, spec
+    passes = multi["metrics"]["counters"]["serve.engine.passes"]
+    assert passes == 2, f"{passes} passes; want a+b coalesced, kv alone"
+    groups.append(multi["config"]["coalesced_group"])
+assert groups == ["2", "2", "1"], groups
+print("    3 specs bitwise identical to single-spec runs in 2 passes")
 EOF
-
-echo "==> telemetry smoke (flight recorder, run registry, campaign report)"
-# Same three tenants against a fully instrumented daemon: metrics
-# snapshots to JSONL, every run persisted to the registry, request
-# lifecycle spans to a Chrome trace.  Then check the invariants the
-# telemetry promises: histogram counts equal completed requests,
-# quantiles are monotone, and the registry indexes every run.
-telem_sock=build-ci/smoke-telem.sock
-registry_dir=build-ci/smoke-registry
-rm -rf "${registry_dir}"
-rm -f "${telem_sock}" build-ci/smoke-telem-snapshots.jsonl
-CACHELAB_LOG=debug ${serve} --socket "${telem_sock}" --batch-window-ms 20 \
-    --metrics-snapshot build-ci/smoke-telem-snapshots.jsonl \
-    --metrics-interval-s 1 \
-    --registry "${registry_dir}" --registry-max-runs 16 \
-    --trace-out build-ci/smoke-telem-trace.json \
-    > build-ci/smoke-telem-serve.log 2>&1 &
-telem_pid=$!
-for _ in $(seq 100); do
-    grep -q "^listening" build-ci/smoke-telem-serve.log && break
-    sleep 0.1
-done
-grep -q "^listening" build-ci/smoke-telem-serve.log
-for t in a b kv; do
-    ${client} --socket "${telem_sock}" \
-        --spec "build-ci/smoke-spec-${t}.json" \
-        --quiet --out "build-ci/smoke-telem-${t}.json"
-done
-${client} --socket "${telem_sock}" --stats > build-ci/smoke-telem-stats.txt
-${client} --socket "${telem_sock}" --stats --json \
-    > build-ci/smoke-telem-stats.json
-${client} --socket "${telem_sock}" --shutdown > /dev/null
-wait "${telem_pid}"
-grep -q "serve.latency.e2e_ns" build-ci/smoke-telem-stats.txt
-grep -Eq "^debug .* request answered" build-ci/smoke-telem-serve.log
-python3 - "${registry_dir}" <<'EOF'
-import json, os, sys
-registry_dir = sys.argv[1]
-
-# Stats exposition: histogram counts match completed requests and the
-# quantiles are monotone.
-stats = json.load(open("build-ci/smoke-telem-stats.json"))
-assert stats["completed"] == 3, stats
-lat = stats["metrics"]["latencies"]
-for series in ("serve.latency.e2e_ns", "serve.latency.exec_ns",
-               "serve.latency.queue_wait_ns"):
-    assert lat[series]["count"] == 3, (series, lat[series])
-e2e = lat["serve.latency.e2e_ns"]
-assert 0 < e2e["p50_ns"] <= e2e["p90_ns"] <= e2e["p99_ns"] <= e2e["max_ns"]
-
-# Served manifests carry the request-lifecycle timings, and the
-# instrumented daemon's results are bitwise identical to the
-# flags-off daemon's answers from the campaign-serve smoke above.
-for tenant in ("a", "b", "kv"):
-    manifest = json.load(open(f"build-ci/smoke-telem-{tenant}.json"))
-    cfg = manifest["config"]
-    for key in ("serve.timing.queue_wait_ns", "serve.timing.exec_ns"):
-        assert int(cfg[key]) >= 0, (tenant, key, cfg)
-    plain = json.load(open(f"build-ci/smoke-served-{tenant}.json"))
-    assert manifest["results"] == plain["results"], \
-        f"telemetry flags perturbed results for tenant {tenant}"
-
-# Flight recorder: every JSONL line parses, seq increases, and the
-# final line reflects the finished campaign.
-lines = [json.loads(l)
-         for l in open("build-ci/smoke-telem-snapshots.jsonl")]
-assert lines, "no metrics snapshots written"
-assert all(l["schema"] == "cachelab.metrics_snapshot" for l in lines)
-assert [l["seq"] for l in lines] == list(range(1, len(lines) + 1))
-final = lines[-1]["metrics"]["latencies"]["serve.latency.e2e_ns"]
-assert final["count"] == 3, final
-
-# Run registry: every run indexed, outcome ok, manifests on disk with
-# results identical to what the tenants received over the wire.
-index = json.load(open(os.path.join(registry_dir, "index.json")))
-assert index["schema"] == "cachelab.run_registry", index
-runs = index["runs"]
-assert len(runs) == 3, runs
-assert {r["tenant"] for r in runs} == \
-    {"tenant-a", "tenant-b", "tenant-kv"}
-assert all(r["outcome"] == "ok" for r in runs)
-served = {json.load(open(f"build-ci/smoke-telem-{t}.json"))["config"]
-          ["spec_id"]: json.load(open(f"build-ci/smoke-telem-{t}.json"))
-          for t in ("a", "b", "kv")}
-for run in runs:
-    persisted = json.load(
-        open(os.path.join(registry_dir, run["manifest"])))
-    assert persisted["results"] == served[run["tenant"]]["results"], \
-        f"registry manifest diverges for {run['tenant']}"
-
-# Chrome trace: parses, and each completed request contributed a
-# lifecycle span.
-trace = json.load(open("build-ci/smoke-telem-trace.json"))
-spans = [e for e in trace["traceEvents"]
-         if e.get("name") == "request"]
-assert len(spans) == 3, len(spans)
-print(f"    {len(lines)} snapshots, 3 runs registered, "
-      f"{len(spans)} request spans traced, e2e p50 "
-      f"{e2e['p50_ns'] / 1e6:.2f} ms")
-EOF
-build-ci/tools/cachelab_report --registry "${registry_dir}" \
-    > build-ci/smoke-campaign.md
-grep -q "cachelab campaign summary" build-ci/smoke-campaign.md
-grep -q "tenant-kv" build-ci/smoke-campaign.md
-echo "    campaign report rendered from the registry"
 
 echo "==> perf observability smoke (--perf degraded path, flags-off gating)"
 # Flags off: the manifest carries getrusage accounting but must not
@@ -529,20 +395,17 @@ run_config build-ci-asan -DCACHELAB_WERROR=ON \
 echo "==> configure build-ci-tsan (thread sanitizer, concurrency tests)"
 cmake -B build-ci-tsan -S . -DCACHELAB_WERROR=ON -DCACHELAB_SANITIZE=thread
 cmake --build build-ci-tsan -j "${jobs}" \
-    --target obs_test thread_pool_test telemetry_test policy_test \
-    timing_test perf_counters_test
+    --target obs_test thread_pool_test policy_test timing_test \
+    perf_counters_test
 ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
-    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|LatencyHistogram|PerfCounters'
+    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|PerfCounters'
 
-# Release (-O3) build of the library with warnings as errors: some
+# Release (-O3) build of every target with warnings as errors: some
 # warnings (GCC 12's -Wrestrict on inlined std::string code) only fire
 # at -O3, which the default build type never compiles.
-echo "==> configure build-ci-release (Release, warnings as errors, library)"
+echo "==> configure build-ci-release (Release, warnings as errors, all targets)"
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release \
     -DCACHELAB_WERROR=ON
-cmake --build build-ci-release -j "${jobs}" \
-    --target repro_util repro_stats repro_trace repro_arch repro_workload \
-    repro_cache repro_sample repro_obs repro_ckpt repro_sim repro_analytic \
-    repro_serve
+cmake --build build-ci-release -j "${jobs}"
 
-echo "==> ci passed (default + address,undefined + thread + Release library)"
+echo "==> ci passed (default + address,undefined + thread + Release)"
