@@ -81,8 +81,12 @@ TEST(ManifestTest, CacheStatsCountersRoundTripExactly)
     std::string accesses = "\"accesses\":[";
     std::string misses = "\"misses\":[";
     for (std::size_t k = 0; k < 3; ++k) {
-        accesses += (k ? "," : "") + std::to_string(s.accesses[k]);
-        misses += (k ? "," : "") + std::to_string(s.misses[k]);
+        if (k != 0) {
+            accesses += ',';
+            misses += ',';
+        }
+        accesses += std::to_string(s.accesses[k]);
+        misses += std::to_string(s.misses[k]);
     }
     EXPECT_NE(json.find(accesses + "]"), std::string::npos) << json;
     EXPECT_NE(json.find(misses + "]"), std::string::npos) << json;

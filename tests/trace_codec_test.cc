@@ -467,12 +467,18 @@ TEST(CodecFiles, DinStraddlesRefillsWithCommentsCrlfAndLongLines)
         std::string line = text.substr(pos, nl - pos);
         pos = nl + 1;
         ++line_no;
-        if (line_no % 97 == 0)
-            edited += "# comment " + std::to_string(line_no) + "\n";
+        if (line_no % 97 == 0) {
+            edited += "# comment ";
+            edited += std::to_string(line_no);
+            edited += '\n';
+        }
         if (line_no % 89 == 0)
             edited += "\n";
-        if (line_no == 1000)
-            edited += "#" + std::string(150000, 'c') + "\n";
+        if (line_no == 1000) {
+            edited += '#';
+            edited.append(150000, 'c');
+            edited += '\n';
+        }
         if (line_no == 2000)
             line += std::string(100000, ' ') + "trailing tokens";
         if (line_no % 3 == 0)
